@@ -91,7 +91,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     out = x._make_child(out_data, parents, op="conv2d",
                         attrs={"stride": stride, "padding": padding})
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         grad = out.grad.reshape(n, c_out, oh * ow)
         if weight.requires_grad:
             gw = np.tensordot(grad, cols, axes=([0, 2], [0, 2]))
@@ -120,7 +120,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     out = x._make_child(out_data, (x,), op="max_pool2d",
                         attrs={"kernel": kernel, "stride": stride})
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if not x.requires_grad:
             return
         gcols = np.zeros((n, c, kernel * kernel, oh * ow), dtype=x.data.dtype)
@@ -144,7 +144,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     out = x._make_child(cols.mean(axis=2).reshape(n, c, oh, ow), (x,), op="avg_pool2d",
                         attrs={"kernel": kernel, "stride": stride})
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if not x.requires_grad:
             return
         g = out.grad.reshape(n, c, 1, oh * ow) / (kernel * kernel)
@@ -168,7 +168,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
     out = x._make_child(out_data, (x,), op="gather",
                         attrs={"indices": idx, "axis": axis})
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if not x.requires_grad:
             return
         gx = np.zeros_like(x.data)
@@ -185,7 +185,7 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     out = table._make_child(table.data[idx], (table,), op="embedding_lookup",
                             attrs={"indices": idx})
 
-    def _backward() -> None:
+    def _backward(out: Tensor) -> None:
         if not table.requires_grad:
             return
         g = np.zeros_like(table.data)

@@ -9,6 +9,13 @@ over the recorded graph and accumulates gradients.
 Design notes
 ------------
 * Gradients are plain ``numpy.ndarray`` objects stored on ``Tensor.grad``.
+* A backward closure receives its output node as an argument
+  (``def _backward(out)``, called as ``node._backward(node)``) and must
+  not capture it.  A closure over its own output would put every
+  recorded node in a reference cycle, keeping a minibatch's arrays and
+  gradients alive until the cyclic collector runs; without the cycle,
+  reference counting frees the whole graph as soon as its loss is
+  dropped.  ``tests/nn/test_tape_cycles.py`` checks every op.
 * Broadcasting follows numpy rules; :func:`_unbroadcast` sums gradients
   back down to the shape of the input operand.
 * The engine is eager and single-threaded, which is all the reproduction
@@ -127,7 +134,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
         # In-place mutation counter; the anomaly mode compares it (plus a
@@ -268,7 +275,7 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 if sanitize:
                     _anomaly.check_before_backward(node)
-                node._backward()
+                node._backward(node)
                 if sanitize:
                     _anomaly.check_after_backward(node)
 
@@ -279,7 +286,7 @@ class Tensor:
         other = as_tensor(other)
         out = self._make_child(self.data + other.data, (self, other))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad)
             if other.requires_grad:
@@ -293,7 +300,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = self._make_child(-self.data, (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(-out.grad)
 
@@ -310,7 +317,7 @@ class Tensor:
         other = as_tensor(other)
         out = self._make_child(self.data * other.data, (self, other))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * other.data)
             if other.requires_grad:
@@ -325,7 +332,7 @@ class Tensor:
         other = as_tensor(other)
         out = self._make_child(self.data / other.data, (self, other))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad / other.data)
             if other.requires_grad:
@@ -343,7 +350,7 @@ class Tensor:
         out = self._make_child(self.data**exponent, (self,),
                                attrs={"exponent": exponent})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
@@ -354,7 +361,7 @@ class Tensor:
         other = as_tensor(other)
         out = self._make_child(self.data @ other.data, (self, other))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             grad = out.grad
             if self.requires_grad:
                 if other.data.ndim == 1 and self.data.ndim == 1:
@@ -388,7 +395,7 @@ class Tensor:
         """Elementwise ``e**x``."""
         out = self._make_child(np.exp(self.data), (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data)
 
@@ -399,7 +406,7 @@ class Tensor:
         """Elementwise natural logarithm."""
         out = self._make_child(np.log(self.data), (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad / self.data)
 
@@ -414,7 +421,7 @@ class Tensor:
         """Elementwise hyperbolic tangent."""
         out = self._make_child(np.tanh(self.data), (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (1.0 - out.data**2))
 
@@ -426,7 +433,7 @@ class Tensor:
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = self._make_child(sig, (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data * (1.0 - out.data))
 
@@ -437,7 +444,7 @@ class Tensor:
         """Elementwise ``max(x, 0)``."""
         out = self._make_child(np.maximum(self.data, 0.0), (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (self.data > 0))
 
@@ -449,7 +456,7 @@ class Tensor:
         out = self._make_child(np.where(self.data > 0, self.data, slope * self.data), (self,),
                                attrs={"slope": slope})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * np.where(self.data > 0, 1.0, slope))
 
@@ -460,7 +467,7 @@ class Tensor:
         """Elementwise absolute value."""
         out = self._make_child(np.abs(self.data), (self,))
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * np.sign(self.data))
 
@@ -472,7 +479,7 @@ class Tensor:
         out = self._make_child(np.clip(self.data, low, high), (self,),
                                attrs={"low": low, "high": high})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 mask = (self.data >= low) & (self.data <= high)
                 self._accumulate(out.grad * mask)
@@ -488,7 +495,7 @@ class Tensor:
         out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,),
                                attrs={"axis": axis, "keepdims": keepdims})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if not self.requires_grad:
                 return
             grad = out.grad
@@ -517,7 +524,7 @@ class Tensor:
         out = self._make_child(out_data, (self,),
                                attrs={"axis": axis, "keepdims": keepdims})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if not self.requires_grad:
                 return
             grad = out.grad
@@ -553,7 +560,7 @@ class Tensor:
         out = self._make_child(self.data.reshape(shape), (self,),
                                attrs={"shape": tuple(shape)})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
@@ -574,7 +581,7 @@ class Tensor:
                                attrs={"axes": tuple(axes)})
         inverse = np.argsort(axes)
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.transpose(inverse))
 
@@ -591,7 +598,7 @@ class Tensor:
         out = self._make_child(self.data[index], (self,),
                                attrs={"index": index})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
                 np.add.at(grad, index, out.grad)
@@ -605,7 +612,7 @@ class Tensor:
         out = self._make_child(np.expand_dims(self.data, axis), (self,),
                                attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(np.squeeze(out.grad, axis=axis))
 
@@ -617,7 +624,7 @@ class Tensor:
         out = self._make_child(np.squeeze(self.data, axis=axis), (self,),
                                attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
@@ -634,7 +641,7 @@ class Tensor:
         soft = exp / exp.sum(axis=axis, keepdims=True)
         out = self._make_child(soft, (self,), attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 s = out.data
                 g = out.grad
@@ -650,7 +657,7 @@ class Tensor:
         logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out = self._make_child(shifted - logsumexp, (self,), attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 soft = np.exp(out.data)
                 g = out.grad
@@ -683,7 +690,7 @@ class Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
         out = tensors[0]._make_child(data, tensors, attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             offset = 0
             ax = axis % data.ndim
             for t in tensors:
@@ -704,7 +711,7 @@ class Tensor:
         data = np.stack([t.data for t in tensors], axis=axis)
         out = tensors[0]._make_child(data, tensors, attrs={"axis": axis})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             grads = np.moveaxis(out.grad, axis, 0)
             for t, g in zip(tensors, grads):
                 if t.requires_grad:
@@ -721,7 +728,7 @@ class Tensor:
         out = a._make_child(np.where(cond, a.data, b.data), (a, b),
                             attrs={"cond": cond})
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if a.requires_grad:
                 a._accumulate(np.where(cond, out.grad, 0.0))
             if b.requires_grad:
@@ -743,7 +750,7 @@ class Tensor:
         cond = a.data >= b.data
         out = a._make_child(np.where(cond, a.data, b.data), (a, b), op="maximum")
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if a.requires_grad:
                 a._accumulate(np.where(cond, out.grad, 0.0))
             if b.requires_grad:
@@ -759,7 +766,7 @@ class Tensor:
         cond = a.data <= b.data
         out = a._make_child(np.where(cond, a.data, b.data), (a, b), op="minimum")
 
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if a.requires_grad:
                 a._accumulate(np.where(cond, out.grad, 0.0))
             if b.requires_grad:

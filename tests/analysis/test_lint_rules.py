@@ -154,7 +154,7 @@ def test_rl005_fires_on_loop_variable_capture():
     bad = """
     def build(tensors, out):
         for t in tensors:
-            def _backward():
+            def _backward(out):
                 t._accumulate(out.grad)
             out._backward = _backward
     """
@@ -166,7 +166,7 @@ def test_rl005_silent_when_bound_by_default_arg():
     good = """
     def build(tensors, out):
         for t in tensors:
-            def _backward(t=t):
+            def _backward(out, t=t):
                 t._accumulate(out.grad)
             out._backward = _backward
     """
