@@ -71,13 +71,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--episodes", type=int, default=1)
     parser.add_argument("--num-envs", type=int, default=1,
                         help="vectorized replicas for the runtime check "
-                             "(default: 1, sequential)")
+                             "(default: 1)")
     parser.add_argument("--ugvs", type=int, default=2)
     parser.add_argument("--uavs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
                         help="CI mode: 2-iteration runtime checks on the "
-                             "tiny coalition, sequential AND --num-envs 4")
+                             "tiny coalition, num_envs=1 AND --num-envs 4")
     parser.add_argument("--static-only", action="store_true",
                         help="skip the runtime two-run check")
     parser.add_argument("--runtime-only", action="store_true",

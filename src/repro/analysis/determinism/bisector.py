@@ -75,7 +75,7 @@ class DivergenceReport:
     fingerprint_history: list[dict] = field(default_factory=list)
 
     def format(self) -> str:
-        mode = f"num_envs={self.num_envs}" if self.num_envs > 1 else "sequential"
+        mode = f"num_envs={self.num_envs}"
         if self.equal:
             return (f"check-determinism: {self.method} ({mode}): OK — "
                     f"{self.iterations} iteration(s) bit-identical across "

@@ -83,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the preset's training iterations")
     p_train.add_argument("--num-envs", type=int, default=1,
                          help="collect from this many vectorized env "
-                              "replicas per iteration (default: 1, "
-                              "sequential)")
+                              "replicas per iteration (default: 1)")
     p_train.add_argument("--workers", type=int, default=1,
                          help="shard the --num-envs replicas across this "
                               "many rollout worker processes (default: 1, "

@@ -3,8 +3,8 @@
 Two families coexist:
 
 * ``UGVRollout``/``UAVRollout`` — the original per-episode list/dataclass
-  storage used by the sequential path (and by tests as the semantic
-  reference).
+  storage used by the per-sample path (the stateful-policy fallback,
+  and tests' semantic reference).
 * ``VecUGVRollout``/``VecUAVRollout`` — preallocated ``(K, T, ...)``
   arrays filled by the vectorized rollout driver, with GAE vectorized
   over all replica/agent streams at once and flat index views for

@@ -690,14 +690,18 @@ class IPPOTrainer:
               num_workers: int = 1) -> list[TrainRecord]:
         """Run M training iterations (Algorithm 1's outer loop).
 
-        With ``num_envs > 1`` (and vectorization-capable policies,
-        :meth:`supports_vectorized`) collection runs K env replicas in
-        lock-step with batched policy forwards and array-backed rollouts;
-        each iteration then gathers ``num_envs * episodes_per_iteration``
-        episodes.  Stateful policies silently fall back to the sequential
-        path.  ``num_workers > 1`` additionally shards those replicas
-        over that many rollout processes (see ``docs/parallelism.md``);
-        the sampled streams are bitwise-identical for every worker count.
+        With vectorization-capable policies (:meth:`supports_vectorized`)
+        every iteration runs the batched pipeline at any ``num_envs``,
+        the default 1 included: K env replicas step in lock-step with
+        batched policy forwards and array-backed rollouts, each
+        iteration gathers ``num_envs * episodes_per_iteration`` episodes,
+        and the UGV update makes one batched forward per minibatch.  At
+        K=1 the single replica is ``self.env`` itself.  Stateful policies
+        (IC3Net) fall back to the per-sample path (:meth:`collect`,
+        :meth:`update_ugv`, :meth:`update_uav`).  ``num_workers > 1``
+        additionally shards the replicas over that many rollout
+        processes (see ``docs/parallelism.md``); the sampled streams are
+        bitwise-identical for every worker count.
 
         ``iterations`` counts iterations *to run now*; the trainer's
         persistent counter numbers them globally, so a checkpoint-resumed
@@ -709,7 +713,7 @@ class IPPOTrainer:
         if num_workers > num_envs:
             raise ValueError(f"num_workers={num_workers} cannot exceed "
                              f"num_envs={num_envs}")
-        use_vec = num_envs > 1 and self.supports_vectorized()
+        use_vec = self.supports_vectorized()
         total = (total_iterations if total_iterations is not None
                  else self._iteration + iterations)
         for _ in range(iterations):

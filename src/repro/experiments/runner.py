@@ -107,11 +107,13 @@ def run_method(method: str, campus_name: str, preset: str | ScalePreset = "smoke
     budgets the stochastic policy is the better-behaved estimator, and it
     is how the paper's own evaluation episodes are rolled.
 
-    ``num_envs > 1`` collects training episodes from that many env
-    replicas at once (replica k reseeds with ``replica_seed(method_seed,
-    k)``); ``num_workers > 1`` shards those replicas over rollout worker
-    processes (results are bitwise worker-count invariant).  Agents
-    without vectorization support train sequentially.
+    Training runs the batched pipeline at every ``num_envs``, the
+    default 1 included; ``num_envs > 1`` collects training episodes from
+    that many env replicas at once (replica k reseeds with
+    ``replica_seed(method_seed, k)``); ``num_workers > 1`` shards those
+    replicas over rollout worker processes (results are bitwise
+    worker-count invariant).  Agents with stateful policies (IC3Net)
+    train on the per-sample path.
     """
     preset_obj = get_preset(preset) if isinstance(preset, str) else preset
     _check_workers(num_workers, num_envs)
@@ -195,6 +197,8 @@ def run_training(method: str, campus_name: str,
       propagates (the CLI turns it into exit code
       :data:`~repro.experiments.checkpoint.RESUME_EXIT_CODE`).
 
+    Training takes :func:`run_method`'s pipeline: batched at every
+    ``num_envs`` (1 included) unless the policy is stateful.
     ``num_workers > 1`` shards the ``num_envs`` replicas over that many
     rollout worker processes.  The worker count is deliberately *not*
     part of the config fingerprint: collection is bitwise identical for

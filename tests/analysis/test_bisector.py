@@ -19,15 +19,20 @@ def _build(noisy: bool = False):
     agent = build_agent("garl", "kaist", "smoke", num_ugvs=2,
                         num_uavs_per_ugv=1, seed=0)
     if noisy:
-        orig = agent.ugv_policy.forward
-
-        def noisy_forward(*args, **kwargs):
-            out = orig(*args, **kwargs)
-            jitter = float(1.0 + 1e-3 * np.random.rand())  # the injected bug
-            return UGVPolicyOutput(out.logits * jitter, out.values)
-
-        agent.ugv_policy.forward = noisy_forward
+        # Jitter both forwards: training runs ``forward_batched`` and
+        # evaluation the per-timestep ``forward``.
+        for name in ("forward", "forward_batched"):
+            setattr(agent.ugv_policy, name,
+                    _noisy(getattr(agent.ugv_policy, name)))
     return agent
+
+
+def _noisy(orig):
+    def noisy_forward(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        jitter = float(1.0 + 1e-3 * np.random.rand())  # the injected bug
+        return UGVPolicyOutput(out.logits * jitter, out.values)
+    return noisy_forward
 
 
 def test_identical_runs_certify_equal():
@@ -50,7 +55,7 @@ def test_injected_global_rng_is_caught_at_iteration_and_op():
     assert report.first_divergent_iteration == 0
     assert report.divergent_components  # at least one component named
     # The rewind-replay names the op that consumed the random value: the
-    # logits scaling in noisy_forward above.
+    # logits scaling in _noisy above.
     assert report.op == "mul"
     assert "test_bisector.py" in (report.site or "")
     assert report.op_note.startswith("value:")

@@ -7,7 +7,9 @@ forwards match the sequential forwards, and PPO timestep grouping never
 degrades to per-sample forwards.
 """
 
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +145,93 @@ class TestK1TrainEquivalence:
             q = dict(agent_b.uav_policy.named_parameters())[name]
             np.testing.assert_allclose(p.data, q.data, rtol=1e-9, atol=1e-12,
                                        err_msg=name)
+
+
+class TestDefaultTrainIsBatched:
+    """``train()`` at the default ``num_envs=1`` runs the batched pipeline."""
+
+    def test_default_train_matches_per_sample_oracle(self, toy_campus, toy_stops):
+        ppo = dataclasses.replace(SMALL.ppo, epochs=1, minibatch_size=100000)
+        _, oracle = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        _, agent = _make_agent(toy_campus, toy_stops, ppo=ppo)
+
+        history = agent.train(2)
+        assert agent.trainer._venv is not None
+        assert agent.trainer._venv.num_envs == 1
+
+        tr = oracle.trainer
+        for record in history:
+            ugv_s, uav_s, metrics, ugv_r, uav_r = tr.collect(1)
+            losses = {**tr.update_ugv(ugv_s), **tr.update_uav(uav_s)}
+            assert record.metrics == pytest.approx(metrics.as_dict(), rel=1e-9)
+            assert record.ugv_reward == pytest.approx(ugv_r, rel=1e-9)
+            assert record.uav_reward == pytest.approx(uav_r, rel=1e-9)
+            assert record.losses.keys() == losses.keys()
+            for key, val in losses.items():
+                assert record.losses[key] == pytest.approx(val, rel=1e-9,
+                                                           abs=1e-12)
+
+    def test_ugv_update_is_one_forward_per_minibatch(self, toy_campus, toy_stops):
+        ppo = dataclasses.replace(SMALL.ppo, epochs=2, minibatch_size=5)
+        _, agent = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        trainer, policy = agent.trainer, agent.ugv_policy
+        calls = {"forward": 0, "forward_batched": 0}
+
+        def counting(name):
+            orig = getattr(policy, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return wrapped
+
+        policy.forward = counting("forward")
+        policy.forward_batched = counting("forward_batched")
+        update_ugv_vec = trainer.update_ugv_vec
+        seen = []
+
+        def counted_update(rollout):
+            n = len(rollout.flat_samples(ppo.gamma, ppo.gae_lambda))
+            before = dict(calls)
+            out = update_ugv_vec(rollout)
+            seen.append((n, calls["forward_batched"] - before["forward_batched"],
+                         calls["forward"] - before["forward"]))
+            return out
+
+        trainer.update_ugv_vec = counted_update
+        agent.train(2)
+        assert len(seen) == 2
+        for n, batched, per_sample in seen:
+            assert n > ppo.minibatch_size
+            assert batched == ppo.epochs * math.ceil(n / ppo.minibatch_size)
+            assert per_sample == 0
+
+    def test_stateful_policy_trains_on_fallback_at_k1(self, toy_campus, toy_stops):
+        _, agent = _make_agent(toy_campus, toy_stops, "ic3net")
+        history = agent.train(2)
+        assert agent.trainer._venv is None
+        for record in history:
+            for loss in record.losses.values():
+                assert np.isfinite(loss)
+
+    def test_checkpoint_without_venv_resumes_batched(self, toy_campus, toy_stops):
+        """Trainer state from the per-sample default (no ``venv`` key)
+        loads and continues on the batched path as if never interrupted."""
+        _, full = _make_agent(toy_campus, toy_stops)
+        expected = full.train(4)[2:]
+
+        _, first = _make_agent(toy_campus, toy_stops)
+        first.train(2)
+        state = copy.deepcopy(first.state_dict())
+        del state["trainer"]["venv"]
+
+        _, resumed = _make_agent(toy_campus, toy_stops)
+        resumed.load_state_dict(state)
+        assert resumed.trainer._venv is None
+        records = resumed.train(2)
+        assert resumed.trainer._venv.num_envs == 1
+        assert [dataclasses.asdict(r) for r in records] == \
+            [dataclasses.asdict(r) for r in expected]
 
 
 class TestBatchedForwardConsistency:

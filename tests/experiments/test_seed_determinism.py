@@ -3,7 +3,7 @@
 Two independent ``run_training`` invocations with identical
 configuration must emit bit-identical ``train.jsonl`` telemetry — the
 end-to-end contract the determinism analyzer certifies incrementally.
-Checked sequentially and with four env replicas.
+Checked at the default num_envs=1 and with four env replicas.
 """
 
 from __future__ import annotations
