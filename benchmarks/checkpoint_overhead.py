@@ -94,7 +94,7 @@ def bench_training_overhead(iterations: int, hidden_dim: int = 16) -> dict:
     """Amortized + measured overhead of save_every=SAVE_EVERY checkpointing."""
     # Baseline: plain training, no telemetry, no checkpointing.
     agent = _make_agent(hidden_dim)
-    agent.train(1)  # warmup (compiled paths, campus cache)
+    agent.train(1)  # warmup (campus cache, first-touch allocations)
     t0 = time.perf_counter()
     agent.train(iterations)
     baseline = time.perf_counter() - t0

@@ -12,9 +12,6 @@ pre-push hook or a CI smoke stage needs:
                            (``--quick``: the two-run bisector is skipped).
 * ``perfcheck``          — PF performance rules + PC fusion/buffer/
                            recompute passes.
-* ``compile``            — lower the UAV surrogate step through the
-                           compiled plan executor and verify bitwise
-                           replay/eager golden equivalence (``--smoke``).
 
 Exit status is 0 only when every pillar passed.  Each pillar's full
 output is buffered and replayed only when it failed (always, with
@@ -52,7 +49,6 @@ def _pillars(methods: list[str]) -> list[tuple[str, list[str]]]:
         ("graphcheck", ["--methods", *methods]),
         ("check-determinism", ["--quick"]),
         ("perfcheck", ["src", "--methods", *methods]),
-        ("compile", ["--smoke"]),
     ]
 
 
@@ -65,8 +61,6 @@ def _run_pillar(name: str, pillar_argv: list[str]) -> PillarResult:
         from .determinism import main as pillar_main
     elif name == "perfcheck":
         from .perfcheck import main as pillar_main
-    elif name == "compile":
-        from ..nn.compile_cli import main as pillar_main
     else:  # pragma: no cover - guarded by _pillars
         raise ValueError(f"unknown pillar {name!r}")
 
@@ -98,15 +92,14 @@ def run_all(methods: list[str] | None = None,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro check",
-        description="run all five analysis pillars (lint, graphcheck, "
-                    "check-determinism --quick, perfcheck, compile --smoke) "
-                    "and summarise")
+        description="run all four analysis pillars (lint, graphcheck, "
+                    "check-determinism --quick, perfcheck) and summarise")
     parser.add_argument("--methods", nargs="+", default=["garl"],
                         help="registry methods the traced pillars analyse "
                              "(default: garl)")
     parser.add_argument("--only", nargs="+", default=None,
                         choices=["lint", "graphcheck", "check-determinism",
-                                 "perfcheck", "compile"],
+                                 "perfcheck"],
                         help="run just these pillars")
     parser.add_argument("--verbose", action="store_true",
                         help="replay every pillar's output, not only failures")

@@ -51,10 +51,10 @@ class FingerprintTrace(trace):
         super().__init__(site_provenance=site_provenance)
         self.fingerprints: list[str] = []
 
-    def record_op(self, child, parents, op, attrs=None) -> None:
+    def record_op(self, child, parents, op) -> None:
         if op is None:
             op = sys._getframe(2).f_code.co_name.strip("_")
-        super().record_op(child, parents, op, attrs)
+        super().record_op(child, parents, op)
         self.fingerprints.append(child.fingerprint())
 
 

@@ -273,9 +273,8 @@ def check_unordered_iteration(tree: ast.AST, ctx: Context):
 # ----------------------------------------------------------------------
 _MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "defaultdict", "OrderedDict",
                          "deque", "Counter",
-                         # weakref containers hold registries (e.g. the
-                         # compiled-plan cache set) and fork exactly like
-                         # their strong counterparts.
+                         # weakref containers hold registries and fork
+                         # exactly like their strong counterparts.
                          "WeakSet", "WeakValueDictionary",
                          "WeakKeyDictionary"}
 _MUTATOR_METHODS = {"append", "add", "update", "extend", "insert", "pop",

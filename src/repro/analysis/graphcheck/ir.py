@@ -32,9 +32,8 @@ __all__ = ["IRNode", "GraphIR", "build_ir", "OpSpec", "OP_REGISTRY",
 # ----------------------------------------------------------------------
 # The single classification table for every op the engine records (plus
 # a few legacy aliases that lower to other ops before recording).  The
-# GC001 shape checker, the PC001/PC002 perf passes and the compiled
-# executor (repro.nn.compile) all derive their op sets from here, so the
-# three layers cannot drift apart.
+# GC001 shape checker and the PC001/PC002 perf passes both derive their
+# op sets from here, so the two layers cannot drift apart.
 @dataclass(frozen=True)
 class OpSpec:
     """Classification of one engine op.
@@ -98,7 +97,7 @@ def _ops_where(predicate) -> frozenset:
                      if predicate(spec))
 
 
-#: Ops a fused kernel can express (consumed by PC001 and the compiler).
+#: Ops a fused kernel can express (consumed by PC001).
 #: Dropout is excluded: it is elementwise but stochastic, so fusing it
 #: would hide the RNG draw from the determinism tooling.
 ELEMENTWISE_OPS = _ops_where(lambda s: s.elementwise) - {"dropout"}
@@ -108,7 +107,7 @@ UNARY_SAME_SHAPE_OPS = _ops_where(lambda s: s.kind in ("unary", "rowwise"))
 BINARY_BROADCAST_OPS = _ops_where(lambda s: s.kind == "binary")
 #: Black-box batch-preserving ops for GC001.
 OPAQUE_BATCH_PRESERVING_OPS = _ops_where(lambda s: s.kind == "opaque")
-#: Pure data movement (zero estimated FLOPs, zero-copy on replay).
+#: Pure data movement (zero estimated FLOPs).
 VIEW_OPS = _ops_where(lambda s: s.kind == "view")
 #: Axis-collapsing reductions.
 REDUCTION_OPS = _ops_where(lambda s: s.kind == "reduction")
@@ -131,9 +130,6 @@ class IRNode:
     has_grad: bool = False       # grad was populated when the IR was built
     # Reference to the traced array; not serialised.
     data: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # Static op parameters captured by the tracer (axis, clip bounds,
-    # conv stride, ...); not serialised — may hold numpy arrays.
-    attrs: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -338,7 +334,6 @@ def build_ir(tape, roots: Iterable = (), params: dict[str, object] | None = None
             requires_grad=bool(t.requires_grad), site=rec.site,
             label=rec.label, phase=rec.phase, inputs=input_ids,
             has_grad=t.grad is not None, data=t.data,
-            attrs=getattr(rec, "attrs", None),
         ))
 
     root_ids = []

@@ -78,8 +78,7 @@ class GraphDiagnostic:
 # works at the traced size and is reported.
 
 # Classification sets come from the shared op registry in ``ir.py`` so
-# the shape checker, the perf passes and the compiled executor agree on
-# what each op is.
+# the shape checker and the perf passes agree on what each op is.
 _UNARY_SAME_SHAPE = UNARY_SAME_SHAPE_OPS
 _BINARY_BROADCAST = BINARY_BROADCAST_OPS
 _OPAQUE_BATCH_PRESERVING = OPAQUE_BATCH_PRESERVING_OPS
@@ -408,8 +407,8 @@ def check_common_subexpressions(ir: GraphIR, min_group: int = 2,
                                 max_reports: int = 10) -> list[GraphDiagnostic]:
     """GC005: value-number the graph; report recomputed subgraphs.
 
-    Value numbers (shared with the perfcheck passes and the compiler
-    via :func:`repro.analysis.graphcheck.transforms.value_number`)
+    Value numbers (shared with the perfcheck passes via
+    :func:`repro.analysis.graphcheck.transforms.value_number`)
     combine op, input value numbers and an output data fingerprint, so
     two nodes share a number only when they computed the same value
     from the same expression — no false positives from e.g. ``x[0]``
@@ -419,7 +418,7 @@ def check_common_subexpressions(ir: GraphIR, min_group: int = 2,
     from .transforms import value_number
 
     diags: list[GraphDiagnostic] = []
-    vn = value_number(ir, identity_leaves=False)
+    vn = value_number(ir)
     depth: dict[int, int] = {}
     groups: dict[int, list[IRNode]] = {}
     for n in ir:

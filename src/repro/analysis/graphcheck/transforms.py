@@ -1,33 +1,13 @@
-"""Shared IR transformation passes: value numbering, fusion, liveness.
+"""Shared IR passes: value numbering, fusion grouping, buffer liveness.
 
-One implementation, two consumers:
+The GC005 common-subexpression check (:mod:`.passes`) and the perfcheck
+report passes (:mod:`repro.analysis.perfcheck.passes`: PC001 fusion
+groups, PC002 arena plans, PC003 recompute findings) all run on these.
 
-* the **analyzer** (:mod:`repro.analysis.perfcheck.passes`) runs these in
-  report mode — PC001 fusion groups, PC002 arena plans, PC003 recompute
-  findings are emitted as diagnostics;
-* the **compiler** (:mod:`repro.nn.compile`) runs the same passes in
-  execute mode to build a :class:`~repro.nn.compile.CompiledPlan`: fused
-  chains become back-to-back kernel dispatches into scratch buffers,
-  the arena assignment becomes preallocated slots the forward writes
-  into, and value numbering deduplicates gradient-free subexpressions.
-
-Keeping the logic here (instead of duplicated per consumer) is what
-guarantees the report and the executor never disagree about what is
-fusable or how long a buffer lives.
-
-Value-numbering modes
----------------------
-
-``identity_leaves=False`` (analyzer): two leaves share a number when
-their *data* matches (shape + dtype + fingerprint), and op keys include
-an output-data fingerprint.  Right for reporting: ``x + y`` computed
-twice from equal arrays is a caching opportunity regardless of where
-the arrays came from.
-
-``identity_leaves=True`` (compiler): every leaf gets its own number and
-op keys are purely structural (op, static attrs, input numbers).  Right
-for rewriting: two plan inputs whose capture-time values coincide are
-still *different* inputs on replay, so merging them would be unsound.
+Value numbering keys by data: two leaves share a number when their
+*data* matches (shape + dtype + fingerprint), and op keys include an
+output-data fingerprint.  ``x + y`` computed twice from equal arrays is
+a caching opportunity regardless of where the arrays came from.
 """
 
 from __future__ import annotations
@@ -57,28 +37,9 @@ def node_bytes(node: IRNode) -> int:
 
 
 # ----------------------------------------------------------------------
-# Value numbering (generalises GC005; feeds PC003 and compiler CSE)
+# Value numbering (generalises GC005; feeds PC003)
 # ----------------------------------------------------------------------
-def _attrs_key(attrs: dict | None) -> tuple:
-    """Stable hashable key for a node's static attrs (arrays by digest)."""
-    if not attrs:
-        return ()
-    items = []
-    for k in sorted(attrs):
-        v = attrs[k]
-        if isinstance(v, np.ndarray):
-            items.append((k, "ndarray", v.shape, str(v.dtype),
-                          zlib.adler32(v.tobytes())))
-        elif isinstance(v, (list, tuple)):
-            items.append((k, tuple(str(x) for x in v)))
-        elif isinstance(v, (int, float, bool, str, type(None))):
-            items.append((k, v))
-        else:
-            items.append((k, repr(v)))
-    return tuple(items)
-
-
-def value_number(ir: GraphIR, *, identity_leaves: bool = False) -> dict[int, int]:
+def value_number(ir: GraphIR) -> dict[int, int]:
     """Assign interned value numbers to every node (see module docstring).
 
     Keys are interned to small integers so a key never nests another
@@ -89,13 +50,7 @@ def value_number(ir: GraphIR, *, identity_leaves: bool = False) -> dict[int, int
     vn: dict[int, int] = {}
     for n in ir:
         if n.is_leaf:
-            if identity_leaves:
-                key = ("leaf-id", n.id)
-            else:
-                key = ("leaf", n.requires_grad, _data_fingerprint(n))
-        elif identity_leaves:
-            key = (n.op, _attrs_key(n.attrs),
-                   tuple(vn[i] for i in n.inputs))
+            key = ("leaf", n.requires_grad, _data_fingerprint(n))
         else:
             key = (n.op, tuple(vn[i] for i in n.inputs),
                    _data_fingerprint(n))
@@ -125,7 +80,7 @@ def find_duplicates(ir: GraphIR, vn: dict[int, int]) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Elementwise fusion (PC001 in report mode, fused dispatch in execute mode)
+# Elementwise fusion (PC001)
 # ----------------------------------------------------------------------
 @dataclass
 class FusionGroup:
@@ -250,7 +205,7 @@ def find_fusion_groups(ir: GraphIR, min_size: int = 2) -> FusionPlan:
 
 
 # ----------------------------------------------------------------------
-# Buffer lifetime + arena assignment (PC002 / executor slot plan)
+# Buffer lifetime + arena assignment (PC002)
 # ----------------------------------------------------------------------
 @dataclass
 class ArenaPlan:
@@ -290,24 +245,23 @@ class ArenaPlan:
         }
 
 
-def analyze_buffers(ir: GraphIR, keep_alive: set[int] | frozenset[int] = frozenset()) -> ArenaPlan:
+def analyze_buffers(ir: GraphIR) -> ArenaPlan:
     """Last-use liveness, peak-live-bytes, greedy arena slots (PC002).
 
     Only op outputs count — leaves and parameters live outside the tape
     and are not the allocator's to reuse.  Roots (the loss) stay live to
-    the end of the program, like the real tape does; ``keep_alive`` adds
-    further node ids pinned the same way (the compiler pins every value
-    the backward sweep will read).  The greedy slot policy is best-fit
-    on size: when a buffer is freed its slot returns to a free list; an
-    allocation takes the smallest free slot that fits, growing it if the
-    fit is only partial, and opens a new slot only when none is free.
+    the end of the program, like the real tape does.  The greedy slot
+    policy is best-fit on size: when a buffer is freed its slot returns
+    to a free list; an allocation takes the smallest free slot that
+    fits, growing it if the fit is only partial, and opens a new slot
+    only when none is free.
     An op's output slot is assigned *before* its inputs' slots are
     released, so a slot never aliases a live operand.
     """
     order = {n.id: i for i, n in enumerate(ir)}
     last_use: dict[int, int] = {}
     ops = [n for n in ir if not n.is_leaf]
-    pinned = set(ir.roots) | set(keep_alive)
+    pinned = set(ir.roots)
     end = len(ir.nodes)
     for n in ir:
         for src in n.inputs:

@@ -12,8 +12,7 @@ determinism analyzer).  Two halves, one report:
 * **PC IR passes** (:mod:`.passes`) over a *real traced step* of a
   registered method — fusion-group discovery (PC001), buffer-lifetime /
   arena-reuse analysis (PC002) and cross-phase recompute detection
-  (PC003).  Their outputs are versioned plans: the explicit input
-  contract for the ROADMAP's compiled execution backend.
+  (PC003).  Their outputs are versioned plans.
 
 Findings are ranked by measured wall time when ``--profile`` points at
 a ``repro profile`` JSONL run (:mod:`.profile`).  ``repro perfcheck``

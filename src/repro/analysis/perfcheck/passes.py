@@ -18,11 +18,10 @@ real traced training step (:mod:`repro.analysis.graphcheck.ir`):
   numbering) whose instances span *different* trace phases: work the
   forward pass already did and the loss phase pays for again.
 
-Since the compiled-backend PR, the fusion/liveness/value-numbering
-machinery itself lives in :mod:`repro.analysis.graphcheck.transforms`,
-shared with the executing compiler (:mod:`repro.nn.compile`); this
+The fusion/liveness/value-numbering machinery itself lives in
+:mod:`repro.analysis.graphcheck.transforms`, shared with GC005; this
 module keeps the analyzer-facing surface (same names, same artifacts)
-plus the report-only PC003 pass.
+plus the PC003 pass.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ def find_cross_phase_recompute(ir: GraphIR,
     value from the same expression (op + input numbers + output data
     fingerprint).  A group whose instances span more than one phase is
     the forward pass's work being redone in the loss phase — exactly
-    what a cross-phase cache (or the fused plan) eliminates.
+    what a cross-phase cache eliminates.
     """
-    vn = value_number(ir, identity_leaves=False)
+    vn = value_number(ir)
     groups: dict[int, list[IRNode]] = {}
     for n in ir:
         if not n.is_leaf:

@@ -3,10 +3,9 @@
 Source-level companions to the IR passes in
 :mod:`repro.analysis.perfcheck.passes`.  Each rule encodes an allocation
 or complexity pattern that costs wall time *every environment step* —
-the patterns the ROADMAP's fleet-scaling and compiled-backend items have
-to clear first.  The rules ride the reprolint framework
-(:mod:`repro.analysis.rules`), so inline suppression uses the same
-syntax::
+the patterns the ROADMAP's fleet-scaling items have to clear first.
+The rules ride the reprolint framework (:mod:`repro.analysis.rules`),
+so inline suppression uses the same syntax::
 
     arr = np.array([s.remaining for s in self.sensors])  # reprolint: disable=PF001
 

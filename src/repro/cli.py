@@ -23,11 +23,7 @@ Commands mirror the paper's experiments:
 * ``perfcheck``    — profile-guided performance analysis: PF source
                      rules plus fusion/buffer/recompute passes over a
                      traced step (see docs/static_analysis.md).
-* ``compile``      — lower GARL's UAV surrogate step through the
-                     compiled plan executor and report fused groups,
-                     arena bytes and the guard set (``--smoke`` verifies
-                     bitwise replay/eager equivalence).
-* ``check``        — run all five analysis pillars with one summary
+* ``check``        — run all four analysis pillars with one summary
                      table and a combined exit code.
 * ``export``       — freeze a training checkpoint into a tape-free
                      inference artifact (weights + config fingerprint +
@@ -190,16 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="arguments for the perfcheck driver "
                            "(paths, --profile, --json, --baseline, ...)")
 
-    p_compile = sub.add_parser("compile", add_help=False,
-                               help="lower GARL's UAV step through the "
-                                    "compiled plan executor and report the "
-                                    "plan (exit 2 on --smoke mismatch)")
-    p_compile.add_argument("compile_args", nargs=argparse.REMAINDER,
-                           help="arguments for the compile reporter "
-                                "(--smoke, --json, --minibatch, ...)")
-
     p_check = sub.add_parser("check", add_help=False,
-                             help="run all five analysis pillars with one "
+                             help="run all four analysis pillars with one "
                                   "summary table and a combined exit code")
     p_check.add_argument("check_args", nargs=argparse.REMAINDER,
                          help="arguments for the meta-check "
@@ -242,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=30.0,
                          help="max seconds to wait for in-flight requests "
                               "after SIGTERM (default: 30)")
-    p_serve.add_argument("--no-compile", action="store_true",
-                         help="serve the UAV CNN eagerly instead of through "
-                              "the compiled plan cache")
-    p_serve.add_argument("--no-warmup", action="store_true",
-                         help="skip pre-capturing compiled plans at boot")
     p_serve.add_argument("--no-verify", action="store_true",
                          help="skip the load-time bit-for-bit probe check")
     p_serve.add_argument("--ready-file", default=None,
@@ -274,10 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis.perfcheck import main as perfcheck_main
 
         return perfcheck_main(argv[1:])
-    if argv and argv[0] == "compile":
-        from .nn.compile_cli import main as compile_main
-
-        return compile_main(argv[1:])
     if argv and argv[0] == "check":
         from .analysis.check import main as check_main
 
@@ -307,11 +286,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return perfcheck_main(args.pc_args)
 
-    if args.command == "compile":
-        from .nn.compile_cli import main as compile_main
-
-        return compile_main(args.compile_args)
-
     if args.command == "check":
         from .analysis.check import main as check_main
 
@@ -340,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
                 max_batch=args.max_batch, max_wait_us=args.max_wait_us,
                 queue_limit=args.queue_limit, timeout_ms=args.timeout_ms,
                 drain_timeout_s=args.drain_timeout,
-                compile_uav=not args.no_compile, warmup=not args.no_warmup,
                 verify=not args.no_verify, ready_file=args.ready_file)
         except ArtifactError as exc:
             print(f"refusing to serve: {exc}", file=sys.stderr)

@@ -21,10 +21,6 @@ class PPOConfig:
     epochs: int = 4  # J in Algorithm 1
     minibatch_size: int = 64
     max_grad_norm: float = 0.5
-    # Replay the UAV surrogate-loss step through the compiled plan
-    # executor (repro.nn.compile).  Bit-for-bit equal to eager; off by
-    # default so the eager tape stays the reference path.
-    compile: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:

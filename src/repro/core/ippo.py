@@ -22,8 +22,6 @@ from ..env.workers import WorkerVecEnv
 from ..nn import (
     Adam,
     Categorical,
-    CompiledStep,
-    StepResult,
     Tensor,
     annotate,
     clip_grad_norm,
@@ -231,10 +229,6 @@ class IPPOTrainer:
         self.lr_schedule = lr_schedule
         self.entropy_schedule = entropy_schedule
         self._entropy_coef = self.ppo.entropy_coef
-        # UAV surrogate-loss step, optionally replayed through the
-        # compiled plan executor (ppo.compile); eager when disabled.
-        self._uav_step = CompiledStep(self._uav_loss_arrays, name="uav_loss",
-                                      enabled=self.ppo.compile)
         self._venv: VecAirGroundEnv | None = None
         # Global iteration counter: persists across train() calls (and
         # through checkpoint/resume), so records and schedule progress
@@ -535,11 +529,9 @@ class IPPOTrainer:
         """UAV surrogate loss (Eqns. 2, 15, 16) as a pure array function.
 
         Every call-varying value enters the graph as a tensor leaf over
-        an argument array — including the annealed entropy coefficient,
-        passed as a 0-d array — which is the contract
-        :class:`repro.nn.CompiledStep` needs to rebind inputs on replay.
-        Op order mirrors the historic inline update exactly, so eager
-        and compiled execution stay bit-for-bit interchangeable.
+        an argument array, the annealed entropy coefficient included
+        (passed as a 0-d array).  Op order mirrors the historic inline
+        update exactly.
         """
         ppo = self.ppo
         dist, value = self.uav_policy.forward_arrays(grids, aux)
@@ -564,11 +556,12 @@ class IPPOTrainer:
 
     def _uav_loss_list(self, batch: list[UAVSample], actions: np.ndarray,
                        old_logp: np.ndarray, adv: np.ndarray,
-                       old_value: np.ndarray, ret: np.ndarray) -> StepResult:
+                       old_value: np.ndarray, ret: np.ndarray
+                       ) -> tuple[Tensor, Tensor, Tensor]:
         """Legacy list-based UAV loss for policies without an array forward.
 
         Same surrogate math as :meth:`_uav_loss_arrays`, but the policy
-        consumes observation objects — never compiled, always eager.
+        consumes observation objects.
         """
         ppo = self.ppo
         dist, value = self.uav_policy([s.observation for s in batch])
@@ -589,21 +582,22 @@ class IPPOTrainer:
         total = (policy_loss + ppo.value_coef * value_loss
                  - self._entropy_coef * entropy)
         annotate(total, "ippo.uav_loss")
-        return StepResult(tensors=(total, policy_loss, value_loss))
+        return total, policy_loss, value_loss
 
-    def _uav_apply(self, res) -> tuple[float, float]:
-        """Backward + clipped Adam step for one UAV minibatch result."""
+    def _uav_apply(self, total: Tensor, policy_loss: Tensor,
+                   value_loss: Tensor) -> tuple[float, float]:
+        """Backward + clipped Adam step for one UAV minibatch loss."""
         ppo = self.ppo
         self.uav_optimizer.zero_grad()
         with obs_scope("backward"):
-            res.backward()
+            total.backward()
         with obs_scope("optim"):
             clip_grad_norm(self.uav_optimizer.params, ppo.max_grad_norm)
             self.uav_optimizer.step()
         counter_add("optim/uav_steps")
-        pl = res.item(1)
+        pl = policy_loss.item()
         histogram_observe("loss/uav_policy", pl)
-        return pl, res.item(2)
+        return pl, value_loss.item()
 
     def update_uav_vec(self, rollout: VecUAVRollout) -> dict[str, float]:
         """Clipped PPO update for the UAV policy from flat array batches."""
@@ -622,14 +616,14 @@ class IPPOTrainer:
                     idxs = order[start:start + ppo.minibatch_size]
                     with self._sanitize():
                         with obs_scope("forward"):
-                            res = self._uav_step(
+                            losses = self._uav_loss_arrays(
                                 flat.grids[idxs], flat.aux[idxs],
                                 flat.actions[idxs], flat.log_probs[idxs],
                                 norm_adv[idxs], flat.values[idxs],
                                 flat.returns[idxs],
                                 np.asarray(self._entropy_coef,
                                            dtype=np.float64))
-                        pl, vl = self._uav_apply(res)
+                        pl, vl = self._uav_apply(*losses)
                     policy_losses.append(pl)
                     value_losses.append(vl)
         return {"uav_policy_loss": float(np.mean(policy_losses)),
@@ -668,16 +662,16 @@ class IPPOTrainer:
                                 obs = [s.observation for s in batch]
                                 grids = np.stack([o.grid for o in obs])  # reprolint: disable=PF002
                                 aux = np.stack([o.aux for o in obs])  # reprolint: disable=PF002
-                                res = self._uav_step(
+                                losses = self._uav_loss_arrays(
                                     grids, aux, actions, old_logp,
                                     norm_adv[idxs], old_value, ret,
                                     np.asarray(self._entropy_coef,
                                                dtype=np.float64))
                             else:
-                                res = self._uav_loss_list(
+                                losses = self._uav_loss_list(
                                     batch, actions, old_logp,
                                     norm_adv[idxs], old_value, ret)
-                        pl, vl = self._uav_apply(res)
+                        pl, vl = self._uav_apply(*losses)
                     policy_losses.append(pl)
                     value_losses.append(vl)
         return {"uav_policy_loss": float(np.mean(policy_losses)),

@@ -30,12 +30,12 @@ Design points:
   telemetry (see ``docs/parallelism.md``).
 * **Fork/spawn safety.**  Workers bootstrap through
   :func:`reset_worker_process_state`, which clears every known piece of
-  inheritable process state (tape tracer, profiler, compiled-plan
-  caches, campus cache); the same resets are registered as
-  ``os.register_at_fork`` hooks in the owning modules, so even a raw
-  ``fork`` cannot leak parent singletons into a worker.  The audit of
-  what crosses the fork boundary lives in the determinism shared-state
-  map (``repro.analysis.determinism.sharedstate``).
+  inheritable process state (tape tracer, profiler, campus cache); the
+  same resets are registered as ``os.register_at_fork`` hooks in the
+  owning modules, so even a raw ``fork`` cannot leak parent singletons
+  into a worker.  The audit of what crosses the fork boundary lives in
+  the determinism shared-state map
+  (``repro.analysis.determinism.sharedstate``).
 * **Fail loudly, never hang.**  Workers trap exceptions and ship the
   traceback to the learner; the learner waits on the pipe *and* the
   process sentinel, so a worker that dies without a message (OOM kill,
@@ -75,19 +75,17 @@ def reset_worker_process_state() -> None:
     """Clear every piece of parent state a rollout worker must not inherit.
 
     Idempotent and cheap: uninstalls any live tape trace and profiler,
-    empties all compiled-plan caches and the campus/stop-graph cache.
+    empties the campus/stop-graph cache.
     Called first thing in every worker (fork *and* spawn — under spawn
     the process is fresh and this is a no-op by construction; under fork
     it doubles the ``os.register_at_fork`` hooks those modules install,
     so the bootstrap stays correct even if a hook is ever missed).
     """
-    from ..nn import compile as _nn_compile
     from ..nn import tracer as _tracer
     from ..obs import scope as _scope
 
     _tracer._ACTIVE = None
     _scope._ACTIVE = None
-    _nn_compile.clear_plan_caches()
     try:  # experiments layer may not be imported in minimal workers
         from ..experiments.runner import campus_cache_clear
     except ImportError:  # pragma: no cover - circular-import guard
@@ -276,11 +274,9 @@ def _worker_step(envs, spec, views, parity_buffers, parity, reset_on_done):
 
 def _probe_process_state() -> dict:
     """Snapshot of inheritable state, for the fork-safety regression test."""
-    from ..nn import compile as _nn_compile
     from ..nn import tracer as _tracer
     from ..obs import scope as _scope
 
-    plans = sum(len(step.plans) for step in _nn_compile._COMPILED_STEPS)
     try:
         from ..experiments import runner as _runner
         campus_entries = len(_runner._CAMPUS_CACHE)
@@ -290,7 +286,6 @@ def _probe_process_state() -> dict:
         "pid": os.getpid(),
         "tracer_active": _tracer._ACTIVE is not None,
         "profiler_active": _scope._ACTIVE is not None,
-        "compiled_plans": plans,
         "campus_cache_entries": campus_entries,
     }
 

@@ -47,17 +47,6 @@ from .serialize import (
 from .tensor import Tensor, as_tensor, enable_grad, is_grad_enabled, no_grad
 from .tracer import TapeRecord, active_trace, is_tracing, trace
 
-# Imported last: the compiler reaches into repro.analysis lazily, but its
-# module body touches most of the engine surface above.
-from .compile import (
-    CompiledPlan,
-    CompiledStep,
-    CompileError,
-    StepResult,
-    clear_plan_caches,
-    compile_step,
-)
-
 __all__ = [
     "functional",
     "Tensor",
@@ -74,12 +63,6 @@ __all__ = [
     "annotate",
     "AnomalyError",
     "InplaceMutationError",
-    "CompileError",
-    "CompiledPlan",
-    "CompiledStep",
-    "StepResult",
-    "clear_plan_caches",
-    "compile_step",
     "Module",
     "Parameter",
     "Linear",

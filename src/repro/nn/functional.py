@@ -88,8 +88,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
     parents = [x, weight] + ([bias] if bias is not None else [])
-    out = x._make_child(out_data, parents, op="conv2d",
-                        attrs={"stride": stride, "padding": padding})
+    out = x._make_child(out_data, parents, op="conv2d")
 
     def _backward(out: Tensor) -> None:
         grad = out.grad.reshape(n, c_out, oh * ow)
@@ -117,8 +116,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     cols = cols.reshape(n, c, kernel * kernel, oh * ow)
     argmax = cols.argmax(axis=2)
     out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2).reshape(n, c, oh, ow)
-    out = x._make_child(out_data, (x,), op="max_pool2d",
-                        attrs={"kernel": kernel, "stride": stride})
+    out = x._make_child(out_data, (x,), op="max_pool2d")
 
     def _backward(out: Tensor) -> None:
         if not x.requires_grad:
@@ -141,8 +139,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     ow = (w - kernel) // stride + 1
     cols, _, _ = _im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
     cols = cols.reshape(n, c, kernel * kernel, oh * ow)
-    out = x._make_child(cols.mean(axis=2).reshape(n, c, oh, ow), (x,), op="avg_pool2d",
-                        attrs={"kernel": kernel, "stride": stride})
+    out = x._make_child(cols.mean(axis=2).reshape(n, c, oh, ow), (x,), op="avg_pool2d")
 
     def _backward(out: Tensor) -> None:
         if not x.requires_grad:
@@ -165,8 +162,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     expanded = np.expand_dims(idx, axis)
     out_data = np.take_along_axis(x.data, expanded, axis=axis).squeeze(axis)
-    out = x._make_child(out_data, (x,), op="gather",
-                        attrs={"indices": idx, "axis": axis})
+    out = x._make_child(out_data, (x,), op="gather")
 
     def _backward(out: Tensor) -> None:
         if not x.requires_grad:
@@ -182,8 +178,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup into an embedding table with sparse gradient scatter."""
     idx = np.asarray(indices, dtype=np.int64)
-    out = table._make_child(table.data[idx], (table,), op="embedding_lookup",
-                            attrs={"indices": idx})
+    out = table._make_child(table.data[idx], (table,), op="embedding_lookup")
 
     def _backward(out: Tensor) -> None:
         if not table.requires_grad:

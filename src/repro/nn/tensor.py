@@ -226,7 +226,7 @@ class Tensor:
     # Graph plumbing
     # ------------------------------------------------------------------
     def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"],
-                    op: str | None = None, attrs: dict | None = None) -> "Tensor":
+                    op: str | None = None) -> "Tensor":
         child = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             child.requires_grad = True
@@ -234,7 +234,7 @@ class Tensor:
         if _anomaly._ENABLED:
             _anomaly.record_op(child, parents, op)
         if _tracer._ACTIVE is not None:
-            _tracer._ACTIVE.record_op(child, parents, op, attrs)
+            _tracer._ACTIVE.record_op(child, parents, op)
         return child
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -347,8 +347,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out = self._make_child(self.data**exponent, (self,),
-                               attrs={"exponent": exponent})
+        out = self._make_child(self.data**exponent, (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -453,8 +452,7 @@ class Tensor:
 
     def leaky_relu(self, slope: float = 0.01) -> "Tensor":
         """Elementwise ``x if x > 0 else slope * x``."""
-        out = self._make_child(np.where(self.data > 0, self.data, slope * self.data), (self,),
-                               attrs={"slope": slope})
+        out = self._make_child(np.where(self.data > 0, self.data, slope * self.data), (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -476,8 +474,7 @@ class Tensor:
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed through inside the active range."""
-        out = self._make_child(np.clip(self.data, low, high), (self,),
-                               attrs={"low": low, "high": high})
+        out = self._make_child(np.clip(self.data, low, high), (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -492,8 +489,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all elements when None)."""
-        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                               attrs={"axis": axis, "keepdims": keepdims})
+        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
         def _backward(out: Tensor) -> None:
             if not self.requires_grad:
@@ -521,8 +517,7 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``; gradient flows to the argmax elements."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make_child(out_data, (self,),
-                               attrs={"axis": axis, "keepdims": keepdims})
+        out = self._make_child(out_data, (self,))
 
         def _backward(out: Tensor) -> None:
             if not self.requires_grad:
@@ -557,8 +552,7 @@ class Tensor:
         """Same elements in a new shape (one dimension may be -1)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make_child(self.data.reshape(shape), (self,),
-                               attrs={"shape": tuple(shape)})
+        out = self._make_child(self.data.reshape(shape), (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -577,8 +571,7 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out = self._make_child(self.data.transpose(axes), (self,),
-                               attrs={"axes": tuple(axes)})
+        out = self._make_child(self.data.transpose(axes), (self,))
         inverse = np.argsort(axes)
 
         def _backward(out: Tensor) -> None:
@@ -595,8 +588,7 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make_child(self.data[index], (self,),
-                               attrs={"index": index})
+        out = self._make_child(self.data[index], (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -609,8 +601,7 @@ class Tensor:
 
     def expand_dims(self, axis: int) -> "Tensor":
         """Insert a length-1 axis at ``axis``."""
-        out = self._make_child(np.expand_dims(self.data, axis), (self,),
-                               attrs={"axis": axis})
+        out = self._make_child(np.expand_dims(self.data, axis), (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -621,8 +612,7 @@ class Tensor:
 
     def squeeze(self, axis: int | None = None) -> "Tensor":
         """Drop length-1 axes (all of them, or just ``axis``)."""
-        out = self._make_child(np.squeeze(self.data, axis=axis), (self,),
-                               attrs={"axis": axis})
+        out = self._make_child(np.squeeze(self.data, axis=axis), (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -639,7 +629,7 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)
         soft = exp / exp.sum(axis=axis, keepdims=True)
-        out = self._make_child(soft, (self,), attrs={"axis": axis})
+        out = self._make_child(soft, (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -655,7 +645,7 @@ class Tensor:
         """Numerically stable log-softmax along ``axis``."""
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = self._make_child(shifted - logsumexp, (self,), attrs={"axis": axis})
+        out = self._make_child(shifted - logsumexp, (self,))
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -688,7 +678,7 @@ class Tensor:
         """Concatenate tensors along an existing axis."""
         tensors = [as_tensor(t) for t in tensors]
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        out = tensors[0]._make_child(data, tensors, attrs={"axis": axis})
+        out = tensors[0]._make_child(data, tensors)
 
         def _backward(out: Tensor) -> None:
             offset = 0
@@ -709,7 +699,7 @@ class Tensor:
         """Stack tensors along a new axis."""
         tensors = [as_tensor(t) for t in tensors]
         data = np.stack([t.data for t in tensors], axis=axis)
-        out = tensors[0]._make_child(data, tensors, attrs={"axis": axis})
+        out = tensors[0]._make_child(data, tensors)
 
         def _backward(out: Tensor) -> None:
             grads = np.moveaxis(out.grad, axis, 0)
@@ -725,8 +715,7 @@ class Tensor:
         """Select from ``a`` where ``condition`` else ``b``."""
         a, b = as_tensor(a), as_tensor(b)
         cond = np.asarray(condition, dtype=bool)
-        out = a._make_child(np.where(cond, a.data, b.data), (a, b),
-                            attrs={"cond": cond})
+        out = a._make_child(np.where(cond, a.data, b.data), (a, b))
 
         def _backward(out: Tensor) -> None:
             if a.requires_grad:
@@ -741,10 +730,8 @@ class Tensor:
     def maximum(a: "Tensor", b: "Tensor") -> "Tensor":
         """Elementwise maximum of two tensors.
 
-        A first-class op (not a ``where`` with a baked mask) so the
-        compiled executor can recompute the selection mask from fresh
-        inputs on replay; ties take the gradient from ``a``, matching
-        the historical ``where(a >= b, a, b)`` lowering bit-for-bit.
+        Ties take the gradient from ``a``, matching the historical
+        ``where(a >= b, a, b)`` lowering bit-for-bit.
         """
         a, b = as_tensor(a), as_tensor(b)
         cond = a.data >= b.data

@@ -104,19 +104,15 @@ class TapeRecord:
     the cross-step diff pass compare tensor identities between steps.
     """
 
-    __slots__ = ("tensor", "op", "site", "label", "phase", "parents", "attrs")
+    __slots__ = ("tensor", "op", "site", "label", "phase", "parents")
 
-    def __init__(self, tensor, op: str, site: str, phase: str, parents: tuple,
-                 attrs: dict | None = None):
+    def __init__(self, tensor, op: str, site: str, phase: str, parents: tuple):
         self.tensor = tensor
         self.op = op
         self.site = site
         self.label = ""
         self.phase = phase
         self.parents = parents
-        # Static op parameters (axis, clip bounds, conv stride, ...) the
-        # compiled executor needs to replay the op on fresh inputs.
-        self.attrs = attrs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TapeRecord(op={self.op!r}, shape={tuple(self.tensor.shape)}, "
@@ -155,15 +151,14 @@ class trace:
         _ACTIVE = None
 
     # -- recording ------------------------------------------------------
-    def record_op(self, child, parents: Sequence, op: str | None,
-                  attrs: dict | None = None) -> None:
+    def record_op(self, child, parents: Sequence, op: str | None) -> None:
         """Called by ``Tensor._make_child`` while this trace is active."""
         if op is None:
             # record_op <- _make_child <- the op method: two frames up.
             op = sys._getframe(2).f_code.co_name.strip("_")
         site = (_creation_site(self._extra_site_skip) if self._sites
                 else "<untracked>")
-        rec = TapeRecord(child, op, site, self._phase, tuple(parents), attrs)
+        rec = TapeRecord(child, op, site, self._phase, tuple(parents))
         self.records.append(rec)
         self._by_id[id(child)] = rec
 

@@ -97,28 +97,12 @@ class TimedTrace(trace):
     def __init__(self, site_provenance: bool = True):
         super().__init__(site_provenance=site_provenance)
         self.times: list[float] = []
-        # Rows reported by the compiled executor (repro.nn.compile): the
-        # replay path creates no Tensors, so no record_op fires; instead
-        # it stamps each executed plan segment here.  Tuples of
-        # (op, label, module, stamp, duration_s, bytes).
-        self.fused: list[tuple[str, str, str, float, float, int]] = []
 
-    def record_op(self, child, parents, op, attrs=None) -> None:
+    def record_op(self, child, parents, op) -> None:
         if op is None:
             op = sys._getframe(2).f_code.co_name.strip("_")
-        super().record_op(child, parents, op, attrs)
+        super().record_op(child, parents, op)
         self.times.append(time.perf_counter())
-
-    def record_fused(self, op: str, label: str, module: str, stamp: float,
-                     duration: float, nbytes: int) -> None:
-        """Report one executed compiled-plan segment (fused group or op).
-
-        Called by ``CompiledStep`` replay when it runs under a profiling
-        trace, so ``repro profile`` stays meaningful on the compiled
-        path: fused groups appear as ``fused`` rows labelled with their
-        member op chain.
-        """
-        self.fused.append((op, label, module, stamp, duration, nbytes))
 
 
 class OpStats:
@@ -239,18 +223,5 @@ def profile_ops(fn: Callable[[], object], *, site_provenance: bool = True,
             [tuple(p.shape) for p in rec.parents if hasattr(p, "shape")])
         if len(events) < max_events:
             name = f"{rec.op} [{rec.label}]" if rec.label else rec.op
-            events.append((name, stamp - t_start - dt, dt))
-    # Merge rows stamped by the compiled executor (no tape records on the
-    # replay path; see TimedTrace.record_fused).
-    for op, label, module, stamp, dt, nbytes in tape.fused:
-        key = (op, label, module)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = OpStats(op, label, module)
-        row.calls += 1
-        row.seconds += dt
-        row.bytes += nbytes
-        if len(events) < max_events:
-            name = f"{op} [{label}]" if label else op
             events.append((name, stamp - t_start - dt, dt))
     return OpProfile(list(rows.values()), events, wall, result)

@@ -13,8 +13,7 @@ This package is that path, in three layers:
   and re-verifiable at every load.
 * :mod:`repro.serve.engine` — a dynamic micro-batcher that coalesces
   concurrent requests into the PR-3 batched forwards
-  (``UGVPolicy.forward_batched`` / ``UAVPolicy.forward_arrays``), with a
-  warm compiled-plan cache (``repro.nn.compile``) on the UAV CNN path,
+  (``UGVPolicy.forward_batched`` / ``UAVPolicy.forward_arrays``), with
   max-batch / max-wait knobs, a bounded queue with load-shedding and
   per-request deadlines.
 * :mod:`repro.serve.service` — ``repro serve``: a stdlib-only asyncio

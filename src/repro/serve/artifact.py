@@ -28,7 +28,7 @@ The manifest pins three layers of identity:
   objects*.  Load re-runs the probe through the serving forward path and
   compares byte-for-byte: equality proves the frozen artifact reproduces
   the training policy's actions bit-for-bit through the exact code path
-  requests will take (including the compiled UAV plan).
+  requests will take.
 
 Stateful policies (IC3Net's recurrent core keeps per-episode hidden
 state) are refused at export: interleaved micro-batched serving cannot
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.config import GARLConfig, PPOConfig
 from ..env.observation import UGVObsArrays
-from ..nn import CompiledStep, load_checkpoint, no_grad, save_checkpoint
+from ..nn import load_checkpoint, no_grad, save_checkpoint
 from ..nn.serialize import atomic_write_bytes, state_digest, validate_state_dict
 from ..experiments.checkpoint import config_fingerprint, find_latest, read_checkpoint
 from ..experiments.runner import build_agent
@@ -77,36 +77,19 @@ class ArtifactError(RuntimeError):
 class FrozenPolicy:
     """The two policy networks of one artifact, behind serving forwards.
 
-    ``ugv_forward`` runs the PR-3 batched UGV forward eagerly under
-    ``no_grad`` (its gather-heavy graph ops stay on the reference eager
-    path, mirroring what ``PPOConfig(compile=True)`` compiles in
-    training: only the UAV step).  ``uav_forward`` routes through a
-    :class:`~repro.nn.compile.CompiledStep`: batches are padded up to
-    power-of-two buckets so a handful of warm plans covers every request
-    size, and rows are sliced back after the replay (every op in the UAV
-    CNN is row-independent, so padding never changes the live rows).
+    Both run the training-time batched forwards eagerly under ``no_grad``
+    at the request batch's own size: ``ugv_forward`` calls
+    ``forward_policy_batched`` and ``uav_forward`` the UAV CNN's
+    ``forward_arrays``.
     """
 
-    def __init__(self, ugv_policy, uav_policy, manifest: dict,
-                 compile_uav: bool = True, max_uav_batch: int = 512):
+    def __init__(self, ugv_policy, uav_policy, manifest: dict):
         self.ugv_policy = ugv_policy
         self.uav_policy = uav_policy
         self.manifest = manifest
         self.schema = manifest["schema"]
-        self.max_uav_batch = int(max_uav_batch)
-        # The compiled forward needs a scalar requires-grad root (the plan
-        # builder's loss-root contract); the dummy sum is never
-        # backpropagated, it just anchors the tape.  Replays skip tape
-        # construction entirely.
-        self._uav_step = CompiledStep(self._uav_loss_fn, name="serve_uav",
-                                      enabled=compile_uav)
 
     # -- forwards -------------------------------------------------------
-    def _uav_loss_fn(self, grids: np.ndarray, aux: np.ndarray):
-        dist, values = self.uav_policy.forward_arrays(grids, aux)
-        root = dist.mean.sum() + values.sum()
-        return root, dist.mean, values
-
     def ugv_forward(self, obs: UGVObsArrays) -> tuple[np.ndarray, np.ndarray]:
         """Masked logits ``(P, U, B+1)`` and values ``(P, U)`` as arrays."""
         from ..core.policies import forward_policy_batched
@@ -118,36 +101,22 @@ class FrozenPolicy:
     def uav_forward(self, grids: np.ndarray,
                     aux: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gaussian ``(mean, log_std, values)`` for ``(N, 3, S, S)`` crops."""
-        n = grids.shape[0]
-        padded = self._uav_bucket(n)
-        if padded != n:
-            grids = np.concatenate([grids, np.repeat(grids[-1:], padded - n, axis=0)])
-            aux = np.concatenate([aux, np.repeat(aux[-1:], padded - n, axis=0)])
-        _, mean, values = self._uav_step(grids, aux).outputs
-        log_std = self.uav_policy.log_std.data.copy()
-        return np.asarray(mean)[:n], log_std, np.asarray(values)[:n]
+        with no_grad():
+            dist, values = self.uav_policy.forward_arrays(grids, aux)
+            return (dist.mean.numpy(), self.uav_policy.log_std.data.copy(),
+                    values.numpy())
 
-    def _uav_bucket(self, n: int) -> int:
-        """Next power-of-two batch size (caps the warm-plan count)."""
-        if n >= self.max_uav_batch:
-            return n  # oversized batches run eagerly-shaped, uncached
-        return 1 << max(0, int(n - 1).bit_length())
-
-    def warmup(self, batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32)) -> None:
-        """Pre-capture compiled UAV plans so first requests never pay it."""
-        s = int(self.schema["uav_obs_size"])
-        aux_dim = int(self.schema["uav_aux_dim"])
-        for n in batch_sizes:
-            # One-time cold-path plan capture; sizes differ per iteration.
-            grids = np.zeros((n, 3, s, s))  # reprolint: disable=PF002
-            aux = np.zeros((n, aux_dim))  # reprolint: disable=PF002
-            self._uav_step(grids, aux)
-            self._uav_step(grids, aux)  # second call replays the plan
+    def warmup(self) -> None:
+        """Run one UGV and one UAV forward on the probe batch at boot."""
+        obs, grids, aux = _probe_arrays(self.schema)
+        self.ugv_forward(obs)
+        self.uav_forward(grids, aux)
 
     def describe(self) -> dict:
-        """Artifact identity + compiled-plan statistics (for /v1/artifact)."""
+        """Artifact identity (for /v1/artifact)."""
+        # bench/layers.py:EngineProbe.summary reads the "uav_step" key.
         return {"manifest": {k: v for k, v in self.manifest.items()},
-                "uav_step": self._uav_step.describe()}
+                "uav_step": {}}
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +317,7 @@ def _config_from_json(blob: dict) -> GARLConfig:
 # Load
 # ----------------------------------------------------------------------
 
-def load_artifact(directory: str | Path, verify: bool = True,
-                  compile_uav: bool = True) -> FrozenPolicy:
+def load_artifact(directory: str | Path, verify: bool = True) -> FrozenPolicy:
     """Load an artifact directory into a :class:`FrozenPolicy`.
 
     Refuses (:class:`ArtifactError`) on: unknown serve schema version, a
@@ -396,8 +364,7 @@ def load_artifact(directory: str | Path, verify: bool = True,
                 f"{manifest['params'][name]}; weights were modified after "
                 f"export")
 
-    policy = FrozenPolicy(ugv_policy, uav_policy, manifest,
-                          compile_uav=compile_uav)
+    policy = FrozenPolicy(ugv_policy, uav_policy, manifest)
     if verify:
         probe = manifest.get("probe")
         if not probe:

@@ -8,7 +8,7 @@ thread, and the :class:`~repro.serve.artifact.FrozenPolicy` forwards.
 Endpoints (all JSON unless noted):
 
 * ``GET /healthz`` — ``{"status": "ok" | "draining"}``.
-* ``GET /v1/artifact`` — the artifact manifest + compiled-plan stats.
+* ``GET /v1/artifact`` — the artifact manifest.
 * ``GET /v1/metrics`` — engine counters plus the live metrics registry.
 * ``POST /v1/session`` — ``{"seed": int}`` ⇒ ``{"session": id}``; every
   scenario stream owns a session whose rng makes its action sampling
@@ -38,7 +38,6 @@ import asyncio
 import io
 import json
 import signal
-import time
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -397,7 +396,6 @@ def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
                 port: int = 8765, max_batch: int = 32,
                 max_wait_us: float = 2000.0, queue_limit: int = 256,
                 timeout_ms: float = 1000.0, drain_timeout_s: float = 30.0,
-                compile_uav: bool = True, warmup: bool = True,
                 verify: bool = True, ready_file: str | Path | None = None) -> int:
     """Load an artifact and serve it until SIGTERM/SIGINT, then drain.
 
@@ -407,12 +405,8 @@ def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
     with ``port=0`` this is how callers learn the kernel-assigned port.
     Returns the process exit code (0 after a clean drain).
     """
-    policy = load_artifact(artifact_dir, verify=verify, compile_uav=compile_uav)
-    if warmup:
-        t0 = time.perf_counter()
-        policy.warmup()
-        print(f"warmed compiled plans in "
-              f"{time.perf_counter() - t0:.2f}s", flush=True)
+    policy = load_artifact(artifact_dir, verify=verify)
+    policy.warmup()
     engine = InferenceEngine(policy, max_batch=max_batch,
                              max_wait_us=max_wait_us,
                              queue_limit=queue_limit, timeout_ms=timeout_ms)

@@ -280,3 +280,16 @@ class TestFramework:
                 return np.array([s.remaining for s in self.sensors])
         """
         assert codes(src, path="tests/test_helper.py") == []
+
+
+# ----------------------------------------------------------------------
+# PF005 audit: the codebase carries no PF005 suppressions, and none
+# should appear.
+# ----------------------------------------------------------------------
+def test_no_pf005_suppressions_in_source():
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    offenders = [str(p) for p in src.rglob("*.py")
+                 if "disable=PF005" in p.read_text()]
+    assert offenders == []

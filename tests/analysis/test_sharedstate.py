@@ -156,15 +156,14 @@ def test_repo_map_lists_campus_cache_as_hot():
 
 def test_repo_fork_boundary_is_fully_guarded():
     """Every hot site in the real tree carries an at-fork guard, so a
-    rollout worker can never inherit live parent state; the compiled-plan
-    registry and the worker-reachable cache clear are both audited."""
+    rollout worker can never inherit live parent state; the
+    worker-reachable cache clear is audited."""
     import repro
     from pathlib import Path
 
     m = build_shared_state_map(Path(repro.__file__).parent)
     assert m.fork_boundary_sites == []
     by_name = {s.qualified: s for s in m.sites}
-    assert by_name["nn.compile._COMPILED_STEPS"].fork_guarded
     assert by_name["experiments.runner._CAMPUS_CACHE"].fork_guarded
     # The worker bootstrap reaches the campus-cache clear.
     assert by_name["experiments.runner._CAMPUS_CACHE"].worker_reachable

@@ -48,29 +48,19 @@ def test_roundtrip_bitwise_vs_live_policy(trained_run, frozen_policy):
     np.testing.assert_array_equal(uav_values, live_values.numpy())
 
 
-def test_uav_padding_is_row_exact(frozen_policy):
-    """Bucket padding never changes the live rows' bits."""
+@pytest.mark.parametrize("n", range(1, 9))
+def test_served_uav_forward_equals_trained_at_batch_size(trained_run,
+                                                        frozen_policy, n):
+    """At every batch size the served UAV forward is the training-time
+    ``forward_arrays`` at that size, bit for bit."""
+    uav_policy = trained_run["agent"].uav_policy
     _, grids, aux = _probe_arrays(frozen_policy.schema)
-    full_mean, _, full_values = frozen_policy.uav_forward(grids, aux)
-    # N=3 pads to the 4-bucket; rows must match the N=8 forward's bits.
-    mean3, _, values3 = frozen_policy.uav_forward(grids[:3], aux[:3])
-    np.testing.assert_array_equal(mean3, full_mean[:3])
-    np.testing.assert_array_equal(values3, full_values[:3])
-
-
-def test_compiled_and_eager_uav_paths_agree(artifact_dir):
-    compiled = load_artifact(artifact_dir, verify=True, compile_uav=True)
-    eager = load_artifact(artifact_dir, verify=True, compile_uav=False)
-    _, grids, aux = _probe_arrays(compiled.schema)
-    for n in (1, 3, 8):
-        got = compiled.uav_forward(grids[:n], aux[:n])
-        want = eager.uav_forward(grids[:n], aux[:n])
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-    # The compiled dispatcher actually replayed plans (not silent fallback).
-    stats = compiled._uav_step.describe()
-    assert stats["disabled_reason"] is None
-    assert stats["replay_calls"] >= 1
+    mean, log_std, values = frozen_policy.uav_forward(grids[:n], aux[:n])
+    with no_grad():
+        dist, live_values = uav_policy.forward_arrays(grids[:n], aux[:n])
+    assert mean.tobytes() == dist.mean.numpy().tobytes()
+    assert log_std.tobytes() == uav_policy.log_std.data.tobytes()
+    assert values.tobytes() == live_values.numpy().tobytes()
 
 
 def _tamper(artifact_dir, tmp_path, mutate):

@@ -220,7 +220,7 @@ def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
     ready = tmp_path / "ready"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(artifact_dir),
-         "--port", "0", "--ready-file", str(ready), "--no-warmup",
+         "--port", "0", "--ready-file", str(ready),
          "--max-wait-us", "150000", "--timeout-ms", "5000"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
