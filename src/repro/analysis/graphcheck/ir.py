@@ -48,7 +48,7 @@ class OpSpec:
     * ``view`` — pure data movement, no arithmetic;
     * ``contraction`` — matmul;
     * ``opaque`` — batch-preserving ops the shape checker treats as
-      black boxes (indexing, conv, pooling).
+      black boxes (indexing, conv, pooling, the fused MC-GCN layer).
 
     ``elementwise`` marks ops a fused kernel can express: one output
     element depends only on the matching input element(s).
@@ -89,6 +89,7 @@ OP_REGISTRY: dict[str, OpSpec] = {
     "getitem": OpSpec("opaque"), "gather": OpSpec("opaque"),
     "embedding_lookup": OpSpec("opaque"), "conv2d": OpSpec("opaque"),
     "max_pool2d": OpSpec("opaque"), "avg_pool2d": OpSpec("opaque"),
+    "mc_gcn_layer": OpSpec("opaque"),
 }
 
 

@@ -44,6 +44,72 @@ def multi_center_structural_feature(correlation: np.ndarray, own_stop: int,
     return own - correlation[others].mean(axis=0)
 
 
+def mc_gcn_layer(h: Tensor, w1: Parameter, layer: GCNLayer, laplacian: np.ndarray,
+                 structural: np.ndarray, own_stops: np.ndarray,
+                 other_stops: np.ndarray) -> Tensor:
+    """One batched MC-GCN layer (Eqns. 21-22) as a single autograd node.
+
+    ``h`` is ``(N, B, F)``, one stop-feature stack per centre.  The
+    bilinear score ``f_own - mean f_others`` of Eqn. (21) is linear in
+    its second argument, so it is computed as ``h @ v`` with
+    ``v = W1 (h_own - mean h_others)`` and never forms ``h @ W1`` or the
+    per-negative-centre scores.  The attention ``softmax(structural *
+    score)`` then rescales ``tanh(L h W + b)`` (Eqn. 22).  The backward
+    is written by hand and mirrors these few array passes.
+    """
+    weight, bias = layer.weight, layer.bias
+    hd, w1d, wd = h.data, w1.data, weight.data
+    rows = np.arange(hd.shape[0])
+    num_others = other_stops.shape[1]
+    q = hd[rows, own_stops]  # (N, F)
+    if num_others:
+        q = q - hd[rows[:, None], other_stops].mean(axis=1)
+    v = q @ w1d.T  # (N, F)
+    score = (hd @ v[:, :, None])[..., 0]  # (N, B)
+    combined = structural * score
+    exp = np.exp(combined - combined.max(axis=-1, keepdims=True))
+    attention = exp / exp.sum(axis=-1, keepdims=True)  # (N, B)
+    propagated = laplacian @ (hd @ wd)  # (N, B, H)
+    propagated += bias.data
+    np.tanh(propagated, out=propagated)
+    out = h._make_child(attention[..., None] * propagated, (h, w1, weight, bias),
+                        op="mc_gcn_layer")
+
+    def _backward(out: Tensor) -> None:
+        g = out.grad
+        g_att = np.einsum("nbh,nbh->nb", g, propagated)  # (N, B)
+        # Through the tanh: gz = g * a * (1 - p^2), built in one buffer.
+        gz = propagated * propagated
+        np.subtract(1.0, gz, out=gz)
+        gz *= attention[..., None]
+        gz *= g
+        gxw = laplacian.T @ gz  # (N, B, H)
+        if bias.requires_grad:
+            bias._accumulate(gz.sum(axis=(0, 1)))
+        if weight.requires_grad:
+            weight._accumulate(hd.reshape(-1, hd.shape[-1]).T
+                               @ gxw.reshape(-1, gxw.shape[-1]))
+        # Softmax VJP, then through the structural rescale.
+        inner = (g_att * attention).sum(axis=-1, keepdims=True)
+        g_score = attention * (g_att - inner) * structural  # (N, B)
+        g_v = (g_score[:, None, :] @ hd)[:, 0, :]  # (N, F)
+        if w1.requires_grad:
+            w1._accumulate(g_v.T @ q)
+        if h.requires_grad:
+            gh = (gxw.reshape(-1, gxw.shape[-1]) @ wd.T).reshape(hd.shape)
+            gh += g_score[..., None] * v[:, None, :]
+            g_q = g_v @ w1d
+            gh[rows, own_stops] += g_q
+            # One statement per column: a negative centre may share a
+            # stop with the own centre or with another negative centre.
+            for m in range(num_others):
+                gh[rows, other_stops[:, m]] -= g_q / num_others
+            h._accumulate(gh)
+
+    out._backward = _backward if out.requires_grad else None
+    return out
+
+
 class MCGCN(Module):
     """Multi-center attention-based GCN over the UGV stop graph.
 
@@ -70,9 +136,9 @@ class MCGCN(Module):
         self.gcn_layers = [GCNLayer(a, b, rng=rng, activation="tanh")
                            for a, b in zip(dims[:-1], dims[1:])]
         # W_1 of Eqn. (21a), one per layer (bilinear attention).  The
-        # "w/o MC" ablation never calls _attention, so creating these
-        # would leave optimiser-registered parameters with no gradient
-        # path (caught by graphcheck GC002).
+        # "w/o MC" ablation never calls _attention or mc_gcn_layer, so
+        # creating these would leave optimiser-registered parameters with
+        # no gradient path (caught by graphcheck GC002).
         self.attn_weights = ([Parameter(xavier_uniform((a, a), rng)) for a in dims[:-1]]
                              if config.use_mc_gcn else [])
         # phi_H of Eqn. (23): linear readout of the pooled top layer.
@@ -136,27 +202,6 @@ class MCGCN(Module):
         return h, readout.tanh()
 
     # ------------------------------------------------------------------
-    def _attention_batch(self, h: Tensor, layer_idx: int, rows: np.ndarray,
-                         own_stops: np.ndarray, other_stops: np.ndarray,
-                         structural: np.ndarray) -> Tensor:
-        """Eqn. (21) for a stacked batch of centres; h is (N, B, F).
-
-        Mirrors :meth:`_attention` op-for-op: per-centre bilinear scores
-        against the own stop, minus the mean against the other centres.
-        """
-        w1 = self.attn_weights[layer_idx]
-        hw = h @ w1  # (N, B, F)
-        own_vec = h[rows, own_stops]  # (N, F)
-        f_own = (hw @ own_vec.expand_dims(-1)).squeeze(-1)  # (N, B)
-        if other_stops.shape[1]:
-            other_vecs = h[rows[:, None], other_stops]  # (N, M, F)
-            f_others = hw @ other_vecs.swapaxes(-1, -2)  # (N, B, M)
-            node_feature = f_own - f_others.mean(axis=-1)
-        else:
-            node_feature = f_own
-        combined = Tensor(structural) * node_feature
-        return annotate(combined.softmax(axis=-1), "MCGCN.attention")
-
     def forward_batch(self, stop_features: np.ndarray, own_stops: np.ndarray,
                       other_stops: np.ndarray) -> tuple[Tensor, Tensor]:
         """Run the multi-center GCN for N stacked (replica, agent) centres.
@@ -172,6 +217,7 @@ class MCGCN(Module):
             a second axis of width 0 means no negative centres).
 
         Returns ``(H, h̃)`` with shapes ``(N, B, hidden)`` / ``(N, hidden)``.
+        Each MC-GCN layer is one fused :func:`mc_gcn_layer` node.
         """
         own_stops = np.asarray(own_stops, dtype=int)
         other_stops = np.asarray(other_stops, dtype=int)
@@ -190,10 +236,8 @@ class MCGCN(Module):
 
         for idx, layer in enumerate(self.gcn_layers):
             if use_mc:
-                attention = self._attention_batch(h, idx, rows, own_stops,
-                                                 other_stops, structural)
-                propagated = layer(h, self.laplacian)
-                h = attention.expand_dims(-1) * propagated
+                h = mc_gcn_layer(h, self.attn_weights[idx], layer, self.laplacian,
+                                 structural, own_stops, other_stops)
             else:
                 h = layer(h, self.laplacian)
 

@@ -57,8 +57,8 @@ def add_profile_parser(sub) -> argparse.ArgumentParser:
                    help="rows in each top-N table (default: 15)")
     p.add_argument("--no-ops", action="store_true",
                    help="skip the per-op tape profile (scope timers only; "
-                        "use for longer runs — the op tape retains every "
-                        "intermediate tensor)")
+                        "use for longer runs — the op tape keeps one small "
+                        "record per op)")
     return p
 
 
@@ -117,8 +117,9 @@ def run_profile_command(args: argparse.Namespace) -> int:
 def profile_training(run_training_call, profile_dir: str | Path):
     """Run ``run_training_call()`` under a profiler (``train --profile``).
 
-    Scope-timer-only by design: the per-op tape would retain every
-    intermediate tensor of an arbitrarily long training run.  Writes
+    Scope-timer-only by design: the per-op tape keeps one record per op
+    and the per-op stack walk slows every op, which an arbitrarily long
+    training run should not pay.  Writes
     ``profile_trace.json`` + ``profile.jsonl`` into ``profile_dir`` and
     prints the top-scope table.  Returns the callable's result.
     """

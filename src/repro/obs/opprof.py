@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..nn.tracer import trace
+from ..nn.tracer import _creation_site, trace
 
 __all__ = ["OpStats", "OpProfile", "TimedTrace", "profile_ops",
            "estimate_flops"]
@@ -81,28 +81,64 @@ def estimate_flops(op: str, child_shape: tuple[int, ...],
     return out_elems
 
 
-class TimedTrace(trace):
-    """A ``repro.nn.trace`` that also stamps ``perf_counter`` per op.
+class OpRecord:
+    """What the op table keeps of one recorded op: no tensor references."""
 
-    Inherits the full tape (records, labels via ``annotate``); adds a
-    parallel ``times`` list aligned index-for-index with ``records``.
+    __slots__ = ("op", "label", "site", "shape", "parent_shapes", "nbytes",
+                 "time")
+
+    def __init__(self, op: str, site: str, shape: tuple[int, ...],
+                 parent_shapes: tuple[tuple[int, ...], ...], nbytes: int,
+                 stamp: float):
+        self.op = op
+        self.label = ""
+        self.site = site
+        self.shape = shape
+        self.parent_shapes = parent_shapes
+        self.nbytes = nbytes
+        self.time = stamp
+
+
+class TimedTrace(trace):
+    """A ``repro.nn.trace`` that keeps only what the op table needs.
+
+    The base tape holds every recorded tensor, and through ``_prev`` its
+    whole graph, for the life of the trace; a profiled training run
+    cannot afford that.  Each :class:`OpRecord` here keeps the op name,
+    ``annotate()`` label, creation site, shapes, output bytes and a
+    ``perf_counter`` stamp.  A label attaches to the op that created the
+    tensor while that op is still the latest one recorded, which is how
+    every ``annotate()`` call applies it (``annotate(x.softmax(), ...)``).
     """
 
-    # This override adds a frame between _make_child and the base
-    # record_op, so the base class must skip this file when walking the
-    # stack for the creation site (and the op-name frame lookup below
-    # must happen *here*, where _getframe(2) still lands on the op).
+    # This override adds a frame between _make_child and record_op's
+    # stack walk, so the creation site must skip this file (and the
+    # op-name frame lookup below must happen *here*, where _getframe(2)
+    # still lands on the op).
     _extra_site_skip = ("opprof.py",)
 
     def __init__(self, site_provenance: bool = True):
         super().__init__(site_provenance=site_provenance)
-        self.times: list[float] = []
+        self._last: tuple | None = None  # (tensor, OpRecord) of the latest op
+
+    def __exit__(self, *exc_info) -> None:
+        super().__exit__(*exc_info)
+        self._last = None
 
     def record_op(self, child, parents, op) -> None:
         if op is None:
             op = sys._getframe(2).f_code.co_name.strip("_")
-        super().record_op(child, parents, op)
-        self.times.append(time.perf_counter())
+        site = (_creation_site(self._extra_site_skip) if self._sites
+                else "<untracked>")
+        rec = OpRecord(op, site, child.data.shape,
+                       tuple(p.shape for p in parents if hasattr(p, "shape")),
+                       child.data.nbytes, time.perf_counter())
+        self.records.append(rec)
+        self._last = (child, rec)
+
+    def label(self, tensor, label: str) -> None:
+        if self._last is not None and self._last[0] is tensor:
+            self._last[1].label = label
 
 
 class OpStats:
@@ -207,7 +243,8 @@ def profile_ops(fn: Callable[[], object], *, site_provenance: bool = True,
     rows: dict[tuple[str, str, str], OpStats] = {}
     events: list[tuple[str, float, float]] = []
     prev = t_start
-    for rec, stamp in zip(tape.records, tape.times):
+    for rec in tape.records:
+        stamp = rec.time
         dt = stamp - prev
         prev = stamp
         module = _module_from_site(rec.site) if site_provenance else ""
@@ -217,10 +254,8 @@ def profile_ops(fn: Callable[[], object], *, site_provenance: bool = True,
             row = rows[key] = OpStats(rec.op, rec.label, module)
         row.calls += 1
         row.seconds += dt
-        row.bytes += rec.tensor.data.nbytes
-        row.flops += estimate_flops(
-            rec.op, tuple(rec.tensor.shape),
-            [tuple(p.shape) for p in rec.parents if hasattr(p, "shape")])
+        row.bytes += rec.nbytes
+        row.flops += estimate_flops(rec.op, rec.shape, rec.parent_shapes)
         if len(events) < max_events:
             name = f"{rec.op} [{rec.label}]" if rec.label else rec.op
             events.append((name, stamp - t_start - dt, dt))

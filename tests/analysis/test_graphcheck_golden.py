@@ -21,9 +21,11 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.graphcheck.runner import check_method
+from repro.analysis.graphcheck.runner import _VEC_BATCH, check_method
+from repro.experiments.presets import get_preset
 
 NUM_STOPS = 38  # kaist at smoke scale
+NUM_UGVS = 3
 
 GOLDEN_UGV_OPS = {
     "add": 71, "concat": 10, "exp": 1, "expand_dims": 15, "getitem": 36,
@@ -41,7 +43,7 @@ GOLDEN_UAV_OPS = {
 @pytest.fixture(scope="module")
 def garl_report():
     return check_method("garl", campus="kaist", preset="smoke",
-                        num_ugvs=3, num_uavs_per_ugv=1, seed=0,
+                        num_ugvs=NUM_UGVS, num_uavs_per_ugv=1, seed=0,
                         include_cse=False)
 
 
@@ -69,6 +71,19 @@ def test_mcgcn_attention_nodes(garl_report):
     assert len(att) == 9
     assert {n.shape for n in att} == {(NUM_STOPS,)}
     assert {n.op for n in att} == {"softmax"}
+
+
+def test_batched_mcgcn_is_one_fused_node_per_layer(garl_report):
+    # The batched forward records each MC-GCN layer (Eqns. 21-22) as one
+    # opaque node over all (replica, agent) centres, and no attention
+    # softmax of its own.
+    config = get_preset("smoke").garl_config()
+    ir = garl_report.irs["ugv_vec"]
+    fused = ir.find(op="mc_gcn_layer")
+    assert len(fused) == config.mc_gcn_layers
+    assert {n.shape for n in fused} == {(_VEC_BATCH * NUM_UGVS, NUM_STOPS,
+                                         config.hidden_dim)}
+    assert ir.find(label="MCGCN.attention") == []
 
 
 def test_ecomm_alpha_nodes(garl_report):

@@ -19,18 +19,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.core.mc_gcn as mc_gcn
 import repro.nn.functional as F
 import repro.nn.tensor as tensor_module
 from repro.core.garl import GARLAgent
 from repro.env import AirGroundEnv
 from repro.experiments.presets import get_preset
-from repro.nn import Tensor
+from repro.nn import GCNLayer, Parameter, Tensor
 
 
 def _tape_ops() -> list[str]:
-    """Every function in the engine that records a backward closure."""
+    """Every function in the engine or the fused MC-GCN layer that
+    records a backward closure."""
     found = []
-    for prefix, module in (("Tensor.", tensor_module), ("F.", F)):
+    for prefix, module in (("Tensor.", tensor_module), ("F.", F),
+                           ("mc_gcn.", mc_gcn)):
         tree = ast.parse(inspect.getsource(module))
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
@@ -55,6 +58,17 @@ def _pos(*shape: int) -> Tensor:
 
 
 IDX = np.array([2, 0, 1])
+
+
+def _mc_gcn_layer() -> Tensor:
+    # Two centres on a 3-stop graph; one negative centre each, the
+    # first on its own stop.
+    return mc_gcn.mc_gcn_layer(
+        _leaf(2, 3, 4), Parameter(np.eye(4)),
+        GCNLayer(4, 2, rng=np.random.default_rng(0), activation="tanh"),
+        np.full((3, 3), 1.0 / 3.0), _leaf(2, 3, seed=1).data,
+        np.array([0, 2]), np.array([[0], [1]]))
+
 
 # One small graph per tape op; each returns the op's output.
 CASES = {
@@ -93,6 +107,7 @@ CASES = {
     "F.avg_pool2d": lambda: F.avg_pool2d(_leaf(1, 2, 4, 4)),
     "F.gather": lambda: F.gather(_leaf(3, 4), IDX),
     "F.embedding_lookup": lambda: F.embedding_lookup(_leaf(5, 2), IDX),
+    "mc_gcn.mc_gcn_layer": _mc_gcn_layer,
 }
 
 

@@ -1,5 +1,7 @@
 """Per-op profiler: FLOP estimates, attribution, provenance, labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,23 @@ class TestProfileOps:
         assert labelled[0].op == "matmul"
         name, _, _ = prof.events[0]
         assert name == "matmul [toy.square]"
+
+    def test_tape_keeps_no_tensors_alive(self):
+        # Each pass builds and drops a 1.28 MB product; a tape holding
+        # the recorded tensors would keep all twenty of them.
+        x = Tensor(np.ones((400, 400)))
+
+        def workload():
+            for _ in range(20):
+                (x @ x).sum()
+
+        tracemalloc.start()
+        try:
+            profile_ops(workload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * x.data.nbytes
 
     def test_event_cap(self):
         prof = profile_ops(self._workload, max_events=1)
