@@ -63,6 +63,32 @@ class TrainRecord:
     losses: dict[str, float] = field(default_factory=dict)
 
 
+def _ugv_minibatches(group_keys: np.ndarray, minibatch_size: int,
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch of UGV PPO minibatches, drawn as whole timestep groups.
+
+    E-Comm couples every UGV of a timestep, so scoring any one row
+    forwards all of its timestep's agents.  Drawing whole groups (the
+    MAPPO convention) forwards each timestep once per epoch instead of
+    once per minibatch that touches it.  ``group_keys[i]`` identifies
+    row ``i``'s timestep.  The distinct keys are shuffled with one
+    ``rng.permutation`` draw and their rows laid out group by group
+    (ascending row index within a group).  That order is cut every
+    ``minibatch_size`` rows, and a group the cut splits moves whole into
+    the minibatch holding its last row.  With groups no larger than
+    ``minibatch_size`` this gives ``ceil(n / minibatch_size)``
+    minibatches of about ``minibatch_size`` rows each.
+    """
+    uniq, inverse = np.unique(group_keys, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[rng.permutation(len(uniq))] = np.arange(len(uniq))
+    row_rank = rank[inverse]
+    order = np.argsort(row_rank, kind="stable")
+    ends = np.cumsum(np.bincount(row_rank, minlength=len(uniq)))
+    closes = np.diff((ends - 1) // minibatch_size) > 0
+    return np.split(order, ends[:-1][closes])
+
+
 def run_episode(env: AirGroundEnv, ugv_policy, uav_policy,
                 rng: np.random.Generator, greedy: bool = False,
                 ugv_rollout: UGVRollout | None = None,
@@ -347,13 +373,17 @@ class IPPOTrainer:
         mean = advantages.mean()
         norm_adv = (advantages - mean) / (std + 1e-8)
 
+        # (episode, t) folded into one integer that sorts like the pair,
+        # and so like the batched path's ``env * horizon + t`` at K=1.
+        episode = np.array([s.episode for s in samples])
+        t = np.array([s.t for s in samples])
+        keys = episode * (int(t.max()) + 1) + t
+
         policy_losses, value_losses = [], []
-        order = np.arange(len(samples))
         with obs_scope("update/ugv"):
             for _ in range(ppo.epochs):
-                self.rng.shuffle(order)
-                for start in range(0, len(order), ppo.minibatch_size):
-                    batch_idx = order[start:start + ppo.minibatch_size]
+                for batch_idx in _ugv_minibatches(keys, ppo.minibatch_size,
+                                                  self.rng):
                     with self._sanitize():
                         with obs_scope("forward"):
                             loss, pl, vl = self._ugv_minibatch_loss(
@@ -447,13 +477,15 @@ class IPPOTrainer:
         advantages = flat.advantages
         norm_adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
+        keys = flat.env * flat.horizon + flat.t
+
         policy_losses, value_losses = [], []
-        order = np.arange(len(flat))
         with obs_scope("update/ugv"):
             for _ in range(ppo.epochs):
-                self.rng.shuffle(order)
-                for start in range(0, len(order), ppo.minibatch_size):
-                    batch_idx = order[start:start + ppo.minibatch_size]
+                for batch_idx in _ugv_minibatches(keys, ppo.minibatch_size,
+                                                  self.rng):
+                    counter_add("update/ugv_centres", rollout.num_agents
+                                * len(np.unique(keys[batch_idx])))
                     with self._sanitize():
                         with obs_scope("forward"):
                             loss, pl, vl = self._ugv_minibatch_loss_vec(

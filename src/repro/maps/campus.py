@@ -62,6 +62,14 @@ class CampusMap:
     buildings: list[Polygon]
     sensor_positions: np.ndarray
     sensor_buildings: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    _boxes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # (n_buildings, 4) [min_x, min_y, max_x, max_y] footprint boxes for
+        # segment_hits_building's one-pass reject.
+        self._boxes = np.array([[b.bbox.min_x, b.bbox.min_y, b.bbox.max_x,
+                                 b.bbox.max_y] for b in self.buildings],
+                               dtype=float).reshape(-1, 4)
 
     @property
     def num_sensors(self) -> int:
@@ -80,8 +88,23 @@ class CampusMap:
         return any(b.contains(point) for b in self.buildings)
 
     def segment_hits_building(self, a, b) -> bool:
-        """Whether the straight path a->b crosses any building."""
-        return any(poly.intersects_segment(a, b) for poly in self.buildings)
+        """Whether the straight path a->b crosses any building.
+
+        Applies :meth:`Polygon.intersects_segment`'s cheap reject (neither
+        endpoint in the 1e-9-expanded box, segment box clear of the box)
+        to every building in one numpy pass; only the survivors run the
+        exact test, so the answer is the per-polygon loop's.
+        """
+        ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+        lo_x, lo_y, hi_x, hi_y = self._boxes.T
+        ex_lo_x, ex_lo_y = lo_x - 1e-9, lo_y - 1e-9
+        ex_hi_x, ex_hi_y = hi_x + 1e-9, hi_y + 1e-9
+        a_in = (ex_lo_x <= ax) & (ax <= ex_hi_x) & (ex_lo_y <= ay) & (ay <= ex_hi_y)
+        b_in = (ex_lo_x <= bx) & (bx <= ex_hi_x) & (ex_lo_y <= by) & (by <= ex_hi_y)
+        apart = ((max(ax, bx) < lo_x) | (min(ax, bx) > hi_x)
+                 | (max(ay, by) < lo_y) | (min(ay, by) > hi_y))
+        survivors = np.flatnonzero(a_in | b_in | ~apart)
+        return any(self.buildings[i].intersects_segment(a, b) for i in survivors)
 
     def road_edges(self):
         """Yield road edges as coordinate pairs."""

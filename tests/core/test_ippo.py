@@ -1,10 +1,15 @@
 """Tests for the IPPO trainer and episode runner."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GARLConfig, IPPOTrainer, PPOConfig, UAVPolicy, UGVPolicy, run_episode
 from repro.core.buffer import UAVRollout, UGVRollout
+from repro.core.ippo import _ugv_minibatches
 
 
 @pytest.fixture()
@@ -122,6 +127,58 @@ class TestUpdate:
         snap = trainer.evaluate(episodes=1, greedy=False)
         assert 0.0 <= snap.psi <= 1.0
         assert np.isfinite(snap.efficiency)
+
+
+@st.composite
+def _grouped_rows(draw):
+    """Row keys for random timestep groups of 1..U rows, rows interleaved
+    the way the rollouts lay them out, plus a minibatch size >= U."""
+    num_agents = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, num_agents), min_size=1, max_size=40))
+    labels = draw(st.lists(st.integers(0, 10_000), min_size=len(sizes),
+                           max_size=len(sizes), unique=True))
+    keys = np.repeat(np.array(labels), sizes)
+    keys = keys[draw(st.permutations(range(len(keys))))]
+    minibatch_size = draw(st.integers(num_agents, 4 * num_agents + 8))
+    return keys, minibatch_size, draw(st.integers(0, 2**32 - 1))
+
+
+class TestUGVMinibatches:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_grouped_rows())
+    def test_epoch_partitions_rows_into_whole_groups(self, case):
+        keys, minibatch_size, seed = case
+        rng = np.random.default_rng(seed)
+        batches = _ugv_minibatches(keys, minibatch_size, rng)
+
+        assert len(batches) == math.ceil(len(keys) / minibatch_size)
+        rows = np.concatenate(batches)
+        np.testing.assert_array_equal(np.sort(rows), np.arange(len(keys)))
+        # Each minibatch is a union of whole groups: no key spans two.
+        owner = {}
+        for i, batch in enumerate(batches):
+            assert len(batch) > 0
+            for key in np.unique(keys[batch]):
+                assert owner.setdefault(key, i) == i
+        # The only rng draw is one permutation of the distinct groups.
+        expected = np.random.default_rng(seed)
+        expected.permutation(len(np.unique(keys)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_grouped_rows(), scale=st.integers(1, 50), shift=st.integers(0, 99))
+    def test_order_preserving_relabel_draws_the_same_minibatches(self, case,
+                                                                 scale, shift):
+        """The per-sample path keys rows by ``episode * T + t``, the
+        batched one by ``env * horizon + t``: any relabelling that keeps
+        the key order must give the same minibatches from the same rng."""
+        keys, minibatch_size, seed = case
+        a = _ugv_minibatches(keys, minibatch_size, np.random.default_rng(seed))
+        b = _ugv_minibatches(keys * scale + shift, minibatch_size,
+                             np.random.default_rng(seed))
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestHooks:

@@ -147,6 +147,29 @@ class TestK1TrainEquivalence:
                                        err_msg=name)
 
 
+    @pytest.mark.parametrize("episodes", [1, 2])
+    def test_grouped_minibatches_match_sequential(self, toy_campus, toy_stops,
+                                                  episodes):
+        """Several minibatches per epoch: both update paths draw the same
+        whole-timestep minibatches, so losses and parameters agree."""
+        ppo = dataclasses.replace(SMALL.ppo, epochs=2, minibatch_size=5)
+        _, agent_a = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        _, agent_b = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        tr, tv = agent_a.trainer, agent_b.trainer
+        for _ in range(2):
+            ugv_s, _, _, _, _ = tr.collect(episodes)
+            ugv_r, _, _, _, _ = tv.collect_vec(episodes, 1)
+            assert len(ugv_s) > 2 * ppo.minibatch_size
+            seq = tr.update_ugv(ugv_s)
+            vec = tv.update_ugv_vec(ugv_r)
+            for key, val in seq.items():
+                assert vec[key] == pytest.approx(val, rel=1e-9, abs=1e-12)
+        params_b = dict(agent_b.ugv_policy.named_parameters())
+        for name, p in agent_a.ugv_policy.named_parameters():
+            np.testing.assert_allclose(p.data, params_b[name].data,
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+
+
 class TestDefaultTrainIsBatched:
     """``train()`` at the default ``num_envs=1`` runs the batched pipeline."""
 
@@ -187,24 +210,39 @@ class TestDefaultTrainIsBatched:
 
         policy.forward = counting("forward")
         policy.forward_batched = counting("forward_batched")
+        centres = {"n": 0}
+        forward_batch = policy.mc_gcn.forward_batch
+
+        def counted_forward_batch(features, own, others):
+            centres["n"] += len(own)
+            return forward_batch(features, own, others)
+
+        policy.mc_gcn.forward_batch = counted_forward_batch
         update_ugv_vec = trainer.update_ugv_vec
         seen = []
 
         def counted_update(rollout):
-            n = len(rollout.flat_samples(ppo.gamma, ppo.gae_lambda))
+            flat = rollout.flat_samples(ppo.gamma, ppo.gae_lambda)
+            timesteps = len(np.unique(flat.env * flat.horizon + flat.t))
             before = dict(calls)
+            centres["n"] = 0
             out = update_ugv_vec(rollout)
-            seen.append((n, calls["forward_batched"] - before["forward_batched"],
+            seen.append((len(flat), timesteps, centres["n"],
+                         calls["forward_batched"] - before["forward_batched"],
                          calls["forward"] - before["forward"]))
             return out
 
         trainer.update_ugv_vec = counted_update
         agent.train(2)
         assert len(seen) == 2
-        for n, batched, per_sample in seen:
+        num_ugvs = trainer.env.config.num_ugvs
+        for n, timesteps, forwarded, batched, per_sample in seen:
             assert n > ppo.minibatch_size
             assert batched == ppo.epochs * math.ceil(n / ppo.minibatch_size)
             assert per_sample == 0
+            # Whole-timestep minibatches: every (env, t) is forwarded
+            # exactly once per epoch, all of its U agents as centres.
+            assert forwarded == ppo.epochs * num_ugvs * timesteps
 
     def test_stateful_policy_trains_on_fallback_at_k1(self, toy_campus, toy_stops):
         _, agent = _make_agent(toy_campus, toy_stops, "ic3net")

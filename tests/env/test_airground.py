@@ -250,6 +250,53 @@ class TestCollectionAndRewards:
         assert toy_env.metrics().zeta == 0.0
 
 
+class TestUAVRewardEqn13:
+    """Eqn. (13) on a hand-built 2-UAV state, against literal numbers:
+    r = clip(ξ_t · collected / (e · flown + ε), 0, reward_clip), minus
+    crash_penalty on a crash, and 0 for a docked UAV."""
+
+    @pytest.fixture()
+    def env(self, toy_campus, toy_stops):
+        env = AirGroundEnv(toy_campus,
+                           EnvConfig(num_ugvs=1, num_uavs_per_ugv=2, episode_len=12),
+                           stops=toy_stops, seed=0)
+        env.reset()
+        # Two of four sensors half drained: collected ratios (.5, .5, 0, 0),
+        # so ξ_t = 1² / (4 · 0.5 + ε) = 1 / 2.000001 = 0.499999750000125.
+        env._initial_data[:] = [10.0, 10.0, 10.0, 10.0]
+        env._sensor_remaining[:] = [5.0, 5.0, 10.0, 10.0]
+        cfg = env.config
+        assert (cfg.energy_per_metre, cfg.epsilon) == (0.01, 1e-6)
+        assert (cfg.reward_clip, cfg.crash_penalty) == (5.0, 1.0)
+        return env
+
+    def test_collection_per_energy(self, env):
+        for uav in env.uavs:
+            uav.launch(uav.position)
+        rewards = env._uav_rewards(np.array([2.0, 0.5]), np.array([100.0, 250.0]),
+                                   np.array([False, False]))
+        # 0.499999750000125 · 2.0 / (0.01 · 100 + 1e-6) and
+        # 0.499999750000125 · 0.5 / (0.01 · 250 + 1e-6).
+        np.testing.assert_allclose(rewards, [0.99999850000175, 0.09999991000006100],
+                                   rtol=1e-12)
+
+    def test_clip_crash_and_docked(self, env):
+        env.uavs[0].launch(env.uavs[0].position)
+        # UAV 0 hovers (flown 0) over 3 GB: 0.4999... · 3 / 1e-6 clips to
+        # 5.0, and its crash costs 1.0.  Docked UAV 1 earns nothing, even
+        # with collection and a crash flag passed in.
+        rewards = env._uav_rewards(np.array([3.0, 4.0]), np.array([0.0, 50.0]),
+                                   np.array([True, True]))
+        np.testing.assert_array_equal(rewards, [4.0, 0.0])
+
+    def test_crash_without_collection(self, env):
+        for uav in env.uavs:
+            uav.launch(uav.position)
+        rewards = env._uav_rewards(np.array([0.0, 0.0]), np.array([0.0, 30.0]),
+                                   np.array([True, False]))
+        np.testing.assert_array_equal(rewards, [-1.0, 0.0])
+
+
 class TestInvariantsAndLifecycle:
     def test_data_conservation_random_episode(self, toy_env):
         rng = np.random.default_rng(0)

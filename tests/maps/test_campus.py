@@ -1,8 +1,12 @@
 """Tests for the synthetic KAIST / UCLA campus builders."""
 
+from functools import cache
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.maps import build_campus, build_kaist, build_ucla
 from repro.maps.campus import (
@@ -17,6 +21,8 @@ from repro.maps.campus import (
 )
 from repro.maps.geometry import point_segment_distance
 
+from ..conftest import make_toy_campus
+
 
 @pytest.fixture(scope="module")
 def kaist():
@@ -26,6 +32,23 @@ def kaist():
 @pytest.fixture(scope="module")
 def ucla():
     return build_ucla()
+
+
+@cache
+def _segment_campus(name):
+    """A campus plus its building-box edge coordinates, each also nudged
+    by the reject test's 1e-9 margin and by one ulp past it."""
+    campus = make_toy_campus() if name == "toy" else build_campus(name, scale=0.3)
+    boxes = np.array([[b.bbox.min_x, b.bbox.min_y, b.bbox.max_x, b.bbox.max_y]
+                      for b in campus.buildings])
+
+    def nudged(lo, hi):
+        values = [lo, hi, lo - 1e-9, hi + 1e-9,
+                  np.nextafter(lo - 1e-9, -np.inf), np.nextafter(hi + 1e-9, np.inf)]
+        return sorted({float(v) for v in np.concatenate(values)})
+
+    return (campus, nudged(boxes[:, 0], boxes[:, 2]),
+            nudged(boxes[:, 1], boxes[:, 3]))
 
 
 class TestPaperStatistics:
@@ -92,6 +115,26 @@ class TestStructuralValidity:
         assert kaist.point_in_building(centre)
         assert kaist.segment_hits_building(centre, centre + np.array([500.0, 0.0]))
         assert not kaist.point_in_building((-50.0, -50.0))
+
+    @pytest.mark.parametrize("name", ["toy", "kaist"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_segment_hits_building_matches_per_polygon_loop(self, name, data):
+        """The one-pass box reject gives the per-polygon loop's answer,
+        with endpoints on (and 1e-9 around) box edges and zero-length
+        segments included."""
+        campus, edges_x, edges_y = _segment_campus(name)
+
+        def coord(edges, extent):
+            return st.one_of(st.floats(-10.0, extent + 10.0),
+                             st.sampled_from(edges))
+
+        point = st.tuples(coord(edges_x, campus.width),
+                          coord(edges_y, campus.height))
+        a = np.array(data.draw(point))
+        b = a.copy() if data.draw(st.booleans()) else np.array(data.draw(point))
+        expected = any(poly.intersects_segment(a, b) for poly in campus.buildings)
+        assert campus.segment_hits_building(a, b) == expected
 
     def test_distance_to_road_positive_off_road(self, kaist):
         building = kaist.buildings[0]
