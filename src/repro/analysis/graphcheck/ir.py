@@ -89,7 +89,7 @@ OP_REGISTRY: dict[str, OpSpec] = {
     "getitem": OpSpec("opaque"), "gather": OpSpec("opaque"),
     "embedding_lookup": OpSpec("opaque"), "conv2d": OpSpec("opaque"),
     "max_pool2d": OpSpec("opaque"), "avg_pool2d": OpSpec("opaque"),
-    "mc_gcn_layer": OpSpec("opaque"),
+    "mc_gcn_layer": OpSpec("opaque"), "ecomm_fused": OpSpec("opaque"),
 }
 
 

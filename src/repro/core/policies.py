@@ -129,8 +129,9 @@ class UGVPolicy(Module):
         """Joint forward for P stacked replicas in one pass.
 
         The (P, U) centres fold into a single ``N = P * U`` MC-GCN batch;
-        E-Comm then communicates within each replica's coalition along a
-        broadcast replica axis.  Returns logits ``(P, U, B + 1)`` and
+        E-Comm then communicates within each replica's coalition in one
+        fused node, whose ``h_final`` feeds the release and value heads
+        and whose ``z`` the stop scores.  Returns logits ``(P, U, B + 1)`` and
         values ``(P, U)`` — at P = 1 numerically equivalent to
         :meth:`forward` on the corresponding observation list.
         """

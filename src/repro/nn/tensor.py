@@ -128,10 +128,13 @@ class Tensor:
                  "_version", "_anomaly")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self.data: np.ndarray = arr
+        # Fast path: a float ndarray (every op output) is kept as-is.
+        # ``dtype.kind == "f"`` is ``np.issubdtype(dtype, np.floating)``.
+        if type(data) is not np.ndarray or data.dtype.kind != "f":
+            data = np.asarray(data)
+            if data.dtype.kind != "f":
+                data = data.astype(np.float64)
+        self.data: np.ndarray = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[Tensor], None] | None = None

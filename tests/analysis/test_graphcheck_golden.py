@@ -93,6 +93,21 @@ def test_ecomm_alpha_nodes(garl_report):
     assert {n.shape for n in alpha} == {(3, 3)}
 
 
+def test_batched_ecomm_is_one_fused_node(garl_report):
+    # The batched forward records E-Comm (Eqns. 25-30, every layer and
+    # the readout) as one opaque node packing [h_final | z | g] per
+    # (replica, agent), with no alpha softmax of its own.
+    config = get_preset("smoke").garl_config()
+    ir = garl_report.irs["ugv_vec"]
+    fused = ir.find(op="ecomm_fused")
+    assert len(fused) == 1
+    assert fused[0].shape == (_VEC_BATCH, NUM_UGVS,
+                              config.hidden_dim + NUM_STOPS + 2)
+    # Parents: the pooled MC-GCN features and all 6 L^E + 3 parameters.
+    assert len(fused[0].inputs) == 1 + 6 * config.ecomm_layers + 3
+    assert ir.find(label="EComm.alpha") == []
+
+
 def test_every_parameter_received_a_gradient(garl_report):
     for part in ("ugv", "uav"):
         ir = garl_report.irs[part]

@@ -19,9 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.core.ecomm as ecomm
 import repro.core.mc_gcn as mc_gcn
 import repro.nn.functional as F
 import repro.nn.tensor as tensor_module
+from repro.core.config import GARLConfig
 from repro.core.garl import GARLAgent
 from repro.env import AirGroundEnv
 from repro.experiments.presets import get_preset
@@ -29,11 +31,11 @@ from repro.nn import GCNLayer, Parameter, Tensor
 
 
 def _tape_ops() -> list[str]:
-    """Every function in the engine or the fused MC-GCN layer that
-    records a backward closure."""
+    """Every function in the engine or the fused MC-GCN and E-Comm nodes
+    that records a backward closure."""
     found = []
     for prefix, module in (("Tensor.", tensor_module), ("F.", F),
-                           ("mc_gcn.", mc_gcn)):
+                           ("mc_gcn.", mc_gcn), ("ecomm.", ecomm)):
         tree = ast.parse(inspect.getsource(module))
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
@@ -68,6 +70,15 @@ def _mc_gcn_layer() -> Tensor:
         GCNLayer(4, 2, rng=np.random.default_rng(0), activation="tanh"),
         np.full((3, 3), 1.0 / 3.0), _leaf(2, 3, seed=1).data,
         np.array([0, 2]), np.array([[0], [1]]))
+
+
+def _ecomm_fused() -> Tensor:
+    # Two replicas of three UGVs through two layers and the readout.
+    config = GARLConfig(hidden_dim=4, ecomm_layers=2)
+    module = ecomm.EComm(4, config, rng=np.random.default_rng(0))
+    positions = np.random.default_rng(2).uniform(size=(2, 3, 2))
+    return ecomm.ecomm_fused(_leaf(2, 3, 4), positions, np.eye(2), module.layers,
+                             module.w3, module.phi_u)
 
 
 # One small graph per tape op; each returns the op's output.
@@ -108,6 +119,7 @@ CASES = {
     "F.gather": lambda: F.gather(_leaf(3, 4), IDX),
     "F.embedding_lookup": lambda: F.embedding_lookup(_leaf(5, 2), IDX),
     "mc_gcn.mc_gcn_layer": _mc_gcn_layer,
+    "ecomm.ecomm_fused": _ecomm_fused,
 }
 
 

@@ -8,6 +8,29 @@ from repro.nn import Tensor, as_tensor, no_grad
 from .gradcheck import check_gradient
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_float_arrays_are_kept_not_copied(self, dtype):
+        arr = np.arange(6, dtype=dtype).reshape(2, 3)
+        t = Tensor(arr)
+        assert t.data is arr
+        assert t.dtype == dtype
+
+    @pytest.mark.parametrize("value", [
+        np.arange(3), np.array([True, False]), 3, 2.5, True, [1, 2, 3],
+        [[1.0, 2.0]]])
+    def test_everything_else_becomes_float64(self, value):
+        t = Tensor(value)
+        assert t.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(value, dtype=np.float64))
+
+    def test_non_float_arrays_are_not_aliased(self):
+        arr = np.arange(3)
+        t = Tensor(arr)
+        arr[0] = 7
+        assert t.data[0] == 0.0
+
+
 class TestForwardMath:
     def test_add_matches_numpy(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
