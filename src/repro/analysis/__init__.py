@@ -1,16 +1,19 @@
-"""``repro.analysis`` — correctness and performance tooling for the
-hand-written autodiff stack.
+"""``repro.analysis`` — correctness tooling for the hand-written autodiff
+stack.
 
-Four pillars, one ``repro check`` meta-command (:mod:`.check`):
+Three pillars, one ``repro check`` meta-command (:mod:`.check`):
 
-* **reprolint** (:mod:`repro.analysis.lint`, :mod:`repro.analysis.rules`) —
-  a stdlib-``ast`` static-analysis pass with rules tuned to the classic
-  failure modes of this codebase: silent ``Tensor.data`` mutation, raw
-  ``np.*`` calls that escape the autograd graph, rollouts missing
-  ``no_grad()``, float32 drift into the float64 engine, backward closures
-  capturing loop variables, bare asserts in hot paths, optimizer steps
-  without ``zero_grad()``, unguarded reciprocals, and tensors parked on
-  ``self`` across timesteps without ``detach()``.  Run it with
+* **reprolint** (:mod:`repro.analysis.lint`, :mod:`repro.analysis.rules`,
+  :mod:`repro.analysis.determinism.rules`) — a stdlib-``ast``
+  static-analysis pass with two rule families.  The RL rules target the
+  classic failure modes of this codebase: silent ``Tensor.data``
+  mutation, raw ``np.*`` calls that escape the autograd graph, rollouts
+  missing ``no_grad()``, float32 drift into the float64 engine, backward
+  closures capturing loop variables, bare asserts in hot paths,
+  optimizer steps without ``zero_grad()``, unguarded reciprocals, and
+  tensors parked on ``self`` across timesteps without ``detach()``.  The
+  DT rules target nondeterminism: global RNG, wall-clock control flow,
+  unordered iteration and fork-unsafe module state.  Run it with
   ``repro lint [paths]`` or the ``reprolint`` console script.
 
 * **graphcheck** (:mod:`repro.analysis.graphcheck`) — traces one training
@@ -19,19 +22,9 @@ Four pillars, one ``repro check`` meta-command (:mod:`.check`):
   every parameter, softmax invariants, cross-step tape growth, and
   common-subexpression reporting.  Run it with ``repro graphcheck``.
 
-* **determinism** (:mod:`repro.analysis.determinism`) — DT source rules
-  against nondeterminism (wall-clock seeds, unordered iteration, global
-  RNG), a whole-program shared-state map from the training entrypoints,
-  and a two-run runtime divergence bisector.  Run it with
-  ``repro check-determinism``.
-
-* **perfcheck** (:mod:`repro.analysis.perfcheck`) — profile-guided
-  performance analysis: PF source rules (per-step array rebuilds,
-  hot-loop allocation, unvectorized loops, quadratic entity scans,
-  dtype-promotion copies) plus PC001–PC003 IR passes (fusion groups,
-  buffer-lifetime arena plan, cross-phase recompute) over a real traced
-  step, ranked by a ``repro profile`` run.  Run it with
-  ``repro perfcheck``.
+* **determinism** (:mod:`repro.analysis.determinism`) — a whole-program
+  shared-state map from the training entrypoints and a two-run runtime
+  divergence bisector.  Run it with ``repro check-determinism``.
 
 The **runtime numerics sanitizer** lives next to the engine in
 :mod:`repro.nn.anomaly` (``repro.nn.detect_anomaly()``); see

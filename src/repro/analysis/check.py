@@ -1,17 +1,18 @@
 """``repro check`` — run every analysis pillar, one summary table.
 
-The four pillars each have their own CLI with their own option surface;
+The three pillars each have their own CLI with their own option surface;
 this meta-command runs them all with sensible defaults and reduces the
 result to a single table plus a combined exit code — the one command a
 pre-push hook or a CI smoke stage needs:
 
-* ``lint``               — reprolint autodiff-misuse rules over ``src``.
+* ``lint``               — reprolint RL autodiff-misuse and DT
+                           determinism rules over ``src``.
 * ``graphcheck``         — GC001–GC005 IR passes on a traced step of the
                            registered methods.
-* ``check-determinism``  — DT source rules + shared-state map
-                           (``--quick``: the two-run bisector is skipped).
-* ``perfcheck``          — PF performance rules + PC fusion/buffer/
-                           recompute passes.
+* ``check-determinism``  — shared-state map plus the two-run bisector;
+                           with ``--quick`` the bisector runs twice,
+                           2 iterations at ``num_envs=1``, then 2 at
+                           ``num_envs=4``.
 
 Exit status is 0 only when every pillar passed.  Each pillar's full
 output is buffered and replayed only when it failed (always, with
@@ -48,7 +49,6 @@ def _pillars(methods: list[str]) -> list[tuple[str, list[str]]]:
         ("lint", ["src"]),
         ("graphcheck", ["--methods", *methods]),
         ("check-determinism", ["--quick"]),
-        ("perfcheck", ["src", "--methods", *methods]),
     ]
 
 
@@ -59,8 +59,6 @@ def _run_pillar(name: str, pillar_argv: list[str]) -> PillarResult:
         from .graphcheck import main as pillar_main
     elif name == "check-determinism":
         from .determinism import main as pillar_main
-    elif name == "perfcheck":
-        from .perfcheck import main as pillar_main
     else:  # pragma: no cover - guarded by _pillars
         raise ValueError(f"unknown pillar {name!r}")
 
@@ -92,14 +90,13 @@ def run_all(methods: list[str] | None = None,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro check",
-        description="run all four analysis pillars (lint, graphcheck, "
-                    "check-determinism --quick, perfcheck) and summarise")
+        description="run all three analysis pillars (lint, graphcheck, "
+                    "check-determinism --quick) and summarise")
     parser.add_argument("--methods", nargs="+", default=["garl"],
                         help="registry methods the traced pillars analyse "
                              "(default: garl)")
     parser.add_argument("--only", nargs="+", default=None,
-                        choices=["lint", "graphcheck", "check-determinism",
-                                 "perfcheck"],
+                        choices=["lint", "graphcheck", "check-determinism"],
                         help="run just these pillars")
     parser.add_argument("--verbose", action="store_true",
                         help="replay every pillar's output, not only failures")

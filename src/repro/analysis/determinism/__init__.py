@@ -1,11 +1,11 @@
 """Determinism & shared-state analysis: the third pillar of ``repro.analysis``.
 
-Three cooperating layers, one CLI (``repro check-determinism``):
+Three cooperating layers:
 
 * :mod:`~repro.analysis.determinism.rules` — the static **DT rule
   family** (DT001 global RNG, DT002 wall-clock control flow, DT003
   unordered iteration, DT004 fork-unsafe state) on the reprolint
-  framework, sharing its ``# reprolint: disable`` suppressions.
+  framework; ``repro lint`` runs them with the RL rules.
 * :mod:`~repro.analysis.determinism.sharedstate` — the **whole-program
   shared-state pass**: call-graph reachability from the train loop down
   to every module global / class attribute written along the way,
@@ -14,6 +14,9 @@ Three cooperating layers, one CLI (``repro check-determinism``):
   divergence bisector**: two same-seed lockstep runs, per-iteration
   state fingerprints, and an op-level tape replay that names the first
   divergent op and its creation site.
+
+``repro check-determinism`` runs the last two; ``--static-only`` keeps
+just the shared-state map, ``--runtime-only`` just the bisector.
 
 See docs/static_analysis.md ("Determinism analysis") for the workflow.
 """
@@ -31,39 +34,24 @@ from .bisector import (
     first_tape_divergence,
 )
 from .fingerprint import diff_components, fingerprint_agent, record_payload
-from .rules import DT_RULES, iter_global_rng
+from .rules import DT_RULES
 from .sharedstate import SharedStateMap, StateSite, build_shared_state_map
 
 __all__ = [
-    "DT_RULES", "iter_global_rng",
+    "DT_RULES",
     "SharedStateMap", "StateSite", "build_shared_state_map",
     "DivergenceReport", "FingerprintTrace", "check_determinism",
     "first_tape_divergence", "fingerprint_agent", "record_payload",
-    "diff_components", "lint_determinism", "main",
+    "diff_components", "main",
 ]
-
-
-def lint_determinism(paths=("src",)):
-    """Run the DT rule family over ``paths``; returns Diagnostics.
-
-    Same discovery, classification and inline-suppression semantics as
-    ``repro lint`` — only the rule set differs.
-    """
-    from ..lint import _discover, lint_source
-
-    diagnostics = []
-    for file in _discover(paths):
-        diagnostics.extend(lint_source(file.read_text(encoding="utf-8"),
-                                       str(file), rules=DT_RULES))
-    return diagnostics
 
 
 def main(argv: list[str] | None = None) -> int:
     """``repro check-determinism`` entry point."""
     parser = argparse.ArgumentParser(
         prog="repro check-determinism",
-        description="static DT rules + shared-state map + two-run runtime "
-                    "divergence bisection (exit 1 on findings)")
+        description="shared-state map + two-run runtime divergence "
+                    "bisection (exit 1 on findings)")
     parser.add_argument("--method", default="garl")
     parser.add_argument("--campus", default="kaist")
     parser.add_argument("--preset", default="smoke")
@@ -79,12 +67,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI mode: 2-iteration runtime checks on the "
                              "tiny coalition, num_envs=1 AND --num-envs 4")
     parser.add_argument("--static-only", action="store_true",
-                        help="skip the runtime two-run check")
+                        help="build only the shared-state map; skip the "
+                             "runtime two-run check")
     parser.add_argument("--runtime-only", action="store_true",
-                        help="skip the DT scan and shared-state map")
-    parser.add_argument("--paths", nargs="*", default=["src"],
-                        help="files/directories for the DT scan "
-                             "(default: src)")
+                        help="skip the shared-state map")
     parser.add_argument("--state-map", default=None, metavar="PATH",
                         help="write the shared-state map JSON artifact")
     parser.add_argument("--state-map-dot", default=None, metavar="PATH",
@@ -96,18 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
 
     if not args.runtime_only:
-        try:
-            diags = lint_determinism(args.paths)
-        except FileNotFoundError as exc:
-            print(f"check-determinism: {exc} (run from the repo root or "
-                  f"pass --paths)", file=sys.stderr)
-            return 2
-        for diag in diags:
-            print(diag.format())
-        print(f"determinism static scan: {len(diags)} finding(s) over "
-              f"{', '.join(args.paths)}")
-        failures += len(diags)
-
         if Path(args.root).is_dir():
             state_map = build_shared_state_map(args.root)
             print(state_map.format_summary())

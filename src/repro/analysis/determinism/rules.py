@@ -1,9 +1,9 @@
 """DT-rule family: static determinism hazards.
 
-A third rule family beside reprolint's RL-rules and graphcheck's
-GC-passes, focused on silent *nondeterminism* rather than silent
-numerical corruption.  Every rule is a ``check(tree, ctx)`` generator on
-the :mod:`repro.analysis.rules` framework, so the standard
+A rule family beside reprolint's RL-rules, focused on silent
+*nondeterminism* rather than silent numerical corruption.  Every rule
+is a ``check(tree, ctx)`` generator on the :mod:`repro.analysis.rules`
+framework; ``repro lint`` runs them with the RL rules, and the standard
 ``# reprolint: disable=DT00x`` inline suppression applies.
 
 The four rules encode the failure modes that break the repo's
@@ -29,11 +29,10 @@ bit-determinism contract (resume ≡ uninterrupted, K=1 ≡ sequential):
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from ..rules import Context, Rule, _calls
 
-__all__ = ["DT_RULES", "iter_global_rng", "check_global_rng",
+__all__ = ["DT_RULES", "check_global_rng",
            "check_wall_clock_control_flow", "check_unordered_iteration",
            "check_fork_unsafe_state"]
 
@@ -71,12 +70,8 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
-def iter_global_rng(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
-    """Yield ``(node, message)`` for every global-RNG draw in ``tree``.
-
-    Shared by DT001 and reprolint's RL010 so both CLIs agree on what
-    counts as a hit.
-    """
+def check_global_rng(tree: ast.AST, ctx: Context):
+    """Yield ``(node, message)`` for every global-RNG draw in ``tree``."""
     for call in _calls(tree):
         func = call.func
         if not isinstance(func, ast.Attribute):
@@ -106,10 +101,6 @@ def iter_global_rng(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
             yield (call, "`os.urandom(...)` is OS entropy and can never be "
                          "seeded; derive bytes from an injected "
                          "`np.random.Generator` if reproducibility matters")
-
-
-def check_global_rng(tree: ast.AST, ctx: Context):
-    yield from iter_global_rng(tree)
 
 
 # ----------------------------------------------------------------------

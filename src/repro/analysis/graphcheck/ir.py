@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = ["IRNode", "GraphIR", "build_ir", "OpSpec", "OP_REGISTRY",
-           "ELEMENTWISE_OPS", "UNARY_SAME_SHAPE_OPS", "BINARY_BROADCAST_OPS",
+           "UNARY_SAME_SHAPE_OPS", "BINARY_BROADCAST_OPS",
            "OPAQUE_BATCH_PRESERVING_OPS", "VIEW_OPS", "REDUCTION_OPS"]
 
 
@@ -32,8 +32,7 @@ __all__ = ["IRNode", "GraphIR", "build_ir", "OpSpec", "OP_REGISTRY",
 # ----------------------------------------------------------------------
 # The single classification table for every op the engine records (plus
 # a few legacy aliases that lower to other ops before recording).  The
-# GC001 shape checker and the PC001/PC002 perf passes both derive their
-# op sets from here, so the two layers cannot drift apart.
+# GC001 shape checker derives its op sets from here.
 @dataclass(frozen=True)
 class OpSpec:
     """Classification of one engine op.
@@ -43,38 +42,34 @@ class OpSpec:
     * ``unary`` / ``binary`` / ``select`` — pointwise math (select is
       ``where``: condition plus two broadcast operands);
     * ``rowwise`` — same-shape but normalises along an axis
-      (softmax/log_softmax), so it bounds fusion regions;
+      (softmax/log_softmax);
     * ``reduction`` — collapses axes (sum/max/...);
     * ``view`` — pure data movement, no arithmetic;
     * ``contraction`` — matmul;
     * ``opaque`` — batch-preserving ops the shape checker treats as
       black boxes (indexing, conv, pooling, the fused MC-GCN layer).
-
-    ``elementwise`` marks ops a fused kernel can express: one output
-    element depends only on the matching input element(s).
     """
 
     kind: str
-    elementwise: bool = False
 
 
 OP_REGISTRY: dict[str, OpSpec] = {
     # Pointwise unaries.
-    "neg": OpSpec("unary", True), "exp": OpSpec("unary", True),
-    "log": OpSpec("unary", True), "sqrt": OpSpec("unary", True),
-    "tanh": OpSpec("unary", True), "sigmoid": OpSpec("unary", True),
-    "relu": OpSpec("unary", True), "leaky_relu": OpSpec("unary", True),
-    "abs": OpSpec("unary", True), "clip": OpSpec("unary", True),
-    "erf": OpSpec("unary", True), "dropout": OpSpec("unary", True),
+    "neg": OpSpec("unary"), "exp": OpSpec("unary"),
+    "log": OpSpec("unary"), "sqrt": OpSpec("unary"),
+    "tanh": OpSpec("unary"), "sigmoid": OpSpec("unary"),
+    "relu": OpSpec("unary"), "leaky_relu": OpSpec("unary"),
+    "abs": OpSpec("unary"), "clip": OpSpec("unary"),
+    "erf": OpSpec("unary"), "dropout": OpSpec("unary"),
     # Row-local composites: same shape, not elementwise.
     "softmax": OpSpec("rowwise"), "log_softmax": OpSpec("rowwise"),
     # Broadcasting binaries.
-    "add": OpSpec("binary", True), "sub": OpSpec("binary", True),
-    "mul": OpSpec("binary", True), "truediv": OpSpec("binary", True),
-    "pow": OpSpec("binary", True), "maximum": OpSpec("binary", True),
-    "minimum": OpSpec("binary", True),
+    "add": OpSpec("binary"), "sub": OpSpec("binary"),
+    "mul": OpSpec("binary"), "truediv": OpSpec("binary"),
+    "pow": OpSpec("binary"), "maximum": OpSpec("binary"),
+    "minimum": OpSpec("binary"),
     # Masked select.
-    "where": OpSpec("select", True),
+    "where": OpSpec("select"),
     # Contractions.
     "matmul": OpSpec("contraction"),
     # Reductions.
@@ -98,10 +93,6 @@ def _ops_where(predicate) -> frozenset:
                      if predicate(spec))
 
 
-#: Ops a fused kernel can express (consumed by PC001).
-#: Dropout is excluded: it is elementwise but stochastic, so fusing it
-#: would hide the RNG draw from the determinism tooling.
-ELEMENTWISE_OPS = _ops_where(lambda s: s.elementwise) - {"dropout"}
 #: Shape-preserving unaries for GC001 symbolic shape propagation.
 UNARY_SAME_SHAPE_OPS = _ops_where(lambda s: s.kind in ("unary", "rowwise"))
 #: Broadcasting binaries for GC001.

@@ -407,8 +407,7 @@ def check_common_subexpressions(ir: GraphIR, min_group: int = 2,
                                 max_reports: int = 10) -> list[GraphDiagnostic]:
     """GC005: value-number the graph; report recomputed subgraphs.
 
-    Value numbers (shared with the perfcheck passes via
-    :func:`repro.analysis.graphcheck.transforms.value_number`)
+    Value numbers (:func:`repro.analysis.graphcheck.transforms.value_number`)
     combine op, input value numbers and an output data fingerprint, so
     two nodes share a number only when they computed the same value
     from the same expression — no false positives from e.g. ``x[0]``

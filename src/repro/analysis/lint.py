@@ -1,5 +1,9 @@
 """reprolint driver: file discovery, suppression handling, CLI.
 
+One lint runs both rule families: the RL autodiff-misuse rules
+(:mod:`.rules`) and the DT determinism rules
+(:mod:`.determinism.rules`).
+
 Usage::
 
     repro lint [paths ...]          # via the main CLI
@@ -23,9 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Sequence
 
+from .determinism.rules import DT_RULES
 from .rules import RULES, Context, Rule
 
-__all__ = ["Diagnostic", "lint_source", "lint_paths", "main"]
+__all__ = ["Diagnostic", "LINT_RULES", "lint_source", "lint_paths", "main"]
+
+#: Every rule ``repro lint`` runs by default.
+LINT_RULES: list[Rule] = [*RULES, *DT_RULES]
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable(?:=([A-Za-z0-9_,\s]+))?")
 
@@ -83,7 +91,7 @@ def lint_source(source: str, path: str = "<string>",
                            "RL000", "syntax-error", f"could not parse: {exc.msg}")]
     lines = source.splitlines()
     diagnostics: list[Diagnostic] = []
-    for rule in rules if rules is not None else RULES:
+    for rule in rules if rules is not None else LINT_RULES:
         if rule.src_only and not ctx.is_src:
             continue
         if rule.engine_exempt and ctx.is_engine:
@@ -124,7 +132,7 @@ def lint_paths(paths: Iterable[str]) -> list[Diagnostic]:
 
 
 def _print_rules() -> None:
-    for rule in RULES:
+    for rule in LINT_RULES:
         scope = "src-only" if rule.src_only else "src+tests"
         extra = ", engine-exempt" if rule.engine_exempt else ""
         print(f"{rule.code}  {rule.name:<24} {rule.description} ({scope}{extra})")
@@ -133,7 +141,8 @@ def _print_rules() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="reprolint",
-        description="Static autodiff-misuse lint for the repro codebase")
+        description="Static autodiff-misuse and determinism lint for the "
+                    "repro codebase")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--list-rules", action="store_true",

@@ -421,17 +421,6 @@ def check_tensor_attr_tape_leak(tree: ast.AST, ctx: Context):
 
 
 # ----------------------------------------------------------------------
-# RL010 — global-rng (the DT001 determinism check, wired into plain lint)
-# ----------------------------------------------------------------------
-def check_global_rng_use(tree: ast.AST, ctx: Context):
-    # Lazy import: determinism.rules builds on this module's framework,
-    # so the dependency must stay one-way at import time.
-    from .determinism.rules import iter_global_rng
-
-    yield from iter_global_rng(tree)
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 RULES: list[Rule] = [
@@ -462,8 +451,4 @@ RULES: list[Rule] = [
     Rule("RL009", "tensor-attr-tape-leak",
          "Graph-attached Tensors stored on `self` across timesteps without detach",
          check_tensor_attr_tape_leak, src_only=True, engine_exempt=True),
-    Rule("RL010", "global-rng",
-         "Global-stream RNG draws (np.random.*, random.*, os.urandom) "
-         "instead of an injected np.random.Generator (= determinism DT001)",
-         check_global_rng_use, src_only=True),
 ]

@@ -165,7 +165,7 @@ class MADDPGAgent:
         if explore:
             # Per-agent rng draws are order-dependent; vectorizing would
             # change the rng stream and break seeded reproducibility.
-            for i in range(len(actions)):  # reprolint: disable=PF003
+            for i in range(len(actions)):
                 if self.rng.random() < self.exploration_eps:
                     actions[i] = self.rng.choice(np.nonzero(masks[i])[0])
         return actions
@@ -194,11 +194,11 @@ class MADDPGAgent:
             # Baseline-parity path: MADDPG keeps the simple per-step
             # gathers of the reference implementation (O(U) each); only
             # the paper method's rollout is performance-tuned.
-            actionable = np.array([not g.is_waiting for g in env.ugvs])  # reprolint: disable=PF001
-            joint_flat = np.stack([o.flat() for o in res.ugv_observations])  # reprolint: disable=PF002
+            actionable = np.array([not g.is_waiting for g in env.ugvs])
+            joint_flat = np.stack([o.flat() for o in res.ugv_observations])
             actions = self._ugv_act(res.ugv_observations, explore)
 
-            for u in range(self.num_ugvs):  # reprolint: disable=PF003
+            for u in range(self.num_ugvs):
                 if not actionable[u]:
                     continue
                 if u in pending:  # close previous decision now that we act again
@@ -224,9 +224,9 @@ class MADDPGAgent:
                 # (trace is None during training).
                 trace.append({
                     "t": env.t,
-                    "ugv_positions": np.array([g.position for g in env.ugvs]),  # reprolint: disable=PF001
-                    "uav_positions": np.array([u.position for u in env.uavs]),  # reprolint: disable=PF001
-                    "uav_airborne": np.array([u.airborne for u in env.uavs]),  # reprolint: disable=PF001
+                    "ugv_positions": np.array([g.position for g in env.ugvs]),
+                    "uav_positions": np.array([u.position for u in env.uavs]),
+                    "uav_airborne": np.array([u.airborne for u in env.uavs]),
                 })
 
             res = env.step(actions, uav_actions)
@@ -241,7 +241,7 @@ class MADDPGAgent:
 
             if res.done:
                 # Once per episode, at termination.
-                final_flat = np.stack([o.flat() for o in res.ugv_observations])  # reprolint: disable=PF002
+                final_flat = np.stack([o.flat() for o in res.ugv_observations])
                 for trans in pending.values():
                     self.ugv_buffer.append({**trans, "next_obs": final_flat, "done": True})
                 for trans in uav_pending.values():
@@ -422,7 +422,7 @@ class MADDPGAgent:
         for key in keys:
             if buffer:
                 # Checkpoint serialisation path, not per-step cost.
-                state[key] = np.stack([np.asarray(entry[key]) for entry in buffer])  # reprolint: disable=PF002
+                state[key] = np.stack([np.asarray(entry[key]) for entry in buffer])
         return state
 
     @staticmethod

@@ -11,20 +11,19 @@ Commands mirror the paper's experiments:
 * ``complexity``   — Table IV inference-cost rows.
 * ``trajectories`` — Fig. 7 trajectory statistics.
 * ``lint``         — reprolint static analysis over the codebase
-                     (autodiff-misuse rules; see docs/static_analysis.md).
+                     (RL autodiff-misuse and DT determinism rules; see
+                     docs/static_analysis.md).
 * ``graphcheck``   — trace each method's training step into a graph IR
                      and run the GC001-GC005 static passes over it.
 * ``profile``      — profile a short training run: hierarchical scope
                      timers, per-op autodiff table, Chrome trace (see
                      docs/observability.md).
-* ``check-determinism`` — static DT rules, whole-program shared-state
-                     map, and a two-run runtime divergence bisector
-                     naming the first divergent iteration and op.
-* ``perfcheck``    — profile-guided performance analysis: PF source
-                     rules plus fusion/buffer/recompute passes over a
-                     traced step (see docs/static_analysis.md).
-* ``check``        — run all four analysis pillars with one summary
-                     table and a combined exit code.
+* ``check-determinism`` — whole-program shared-state map and a two-run
+                     runtime divergence bisector naming the first
+                     divergent iteration and op.
+* ``check``        — run the three analysis pillars (lint, graphcheck,
+                     check-determinism) with one summary table and a
+                     combined exit code.
 * ``export``       — freeze a training checkpoint into a tape-free
                      inference artifact (weights + config fingerprint +
                      schema manifest), probe-verified bit-for-bit.
@@ -155,43 +154,25 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also train this method and overlay its trace")
     p_render.add_argument("--out", default="campus.svg")
 
-    p_lint = sub.add_parser("lint", help="run the reprolint static-analysis "
-                                         "rules (exit 1 on findings)")
+    p_lint = sub.add_parser("lint", help="run the reprolint RL and DT "
+                                         "static-analysis rules (exit 1 on "
+                                         "findings)")
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
 
-    p_gc = sub.add_parser("graphcheck", add_help=False,
-                          help="trace each method's training step into a "
-                               "graph IR and run the GC001-GC005 passes "
-                               "(exit 1 on findings)")
-    p_gc.add_argument("gc_args", nargs=argparse.REMAINDER,
-                      help="arguments for the graphcheck runner "
-                           "(--methods, --dot, --json, --show-cse, ...)")
-
-    p_det = sub.add_parser("check-determinism", add_help=False,
-                           help="static DT rules + shared-state map + "
-                                "two-run runtime divergence bisection "
-                                "(exit 1 on findings)")
-    p_det.add_argument("det_args", nargs=argparse.REMAINDER,
-                       help="arguments for the determinism analyzer "
-                            "(--quick, --num-envs, --state-map, ...)")
-
-    p_pc = sub.add_parser("perfcheck", add_help=False,
-                          help="PF performance rules + PC001-PC003 "
-                               "fusion/buffer/recompute passes over a "
-                               "traced step (exit 1 on findings)")
-    p_pc.add_argument("pc_args", nargs=argparse.REMAINDER,
-                      help="arguments for the perfcheck driver "
-                           "(paths, --profile, --json, --baseline, ...)")
-
-    p_check = sub.add_parser("check", add_help=False,
-                             help="run all four analysis pillars with one "
-                                  "summary table and a combined exit code")
-    p_check.add_argument("check_args", nargs=argparse.REMAINDER,
-                         help="arguments for the meta-check "
-                              "(--methods, --only, --verbose)")
+    # These three own their option surfaces; main() dispatches them on
+    # argv[0] before parsing, so the subparsers only list them in -h.
+    sub.add_parser("graphcheck", add_help=False,
+                   help="trace each method's training step into a graph IR "
+                        "and run the GC001-GC005 passes (exit 1 on findings)")
+    sub.add_parser("check-determinism", add_help=False,
+                   help="shared-state map + two-run runtime divergence "
+                        "bisection (exit 1 on findings)")
+    sub.add_parser("check", add_help=False,
+                   help="run the three analysis pillars with one summary "
+                        "table and a combined exit code")
 
     p_export = sub.add_parser("export", help="freeze a training checkpoint "
                                              "into an inference artifact")
@@ -253,10 +234,6 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis.determinism import main as determinism_main
 
         return determinism_main(argv[1:])
-    if argv and argv[0] == "perfcheck":
-        from .analysis.perfcheck import main as perfcheck_main
-
-        return perfcheck_main(argv[1:])
     if argv and argv[0] == "check":
         from .analysis.check import main as check_main
 
@@ -270,26 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.list_rules:
             lint_args.append("--list-rules")
         return lint_main(lint_args)
-
-    if args.command == "graphcheck":
-        from .analysis.graphcheck import main as graphcheck_main
-
-        return graphcheck_main(args.gc_args)
-
-    if args.command == "check-determinism":
-        from .analysis.determinism import main as determinism_main
-
-        return determinism_main(args.det_args)
-
-    if args.command == "perfcheck":
-        from .analysis.perfcheck import main as perfcheck_main
-
-        return perfcheck_main(args.pc_args)
-
-    if args.command == "check":
-        from .analysis.check import main as check_main
-
-        return check_main(args.check_args)
 
     if args.command == "export":
         from .serve import ArtifactError, export_artifact

@@ -102,7 +102,7 @@ class UGVRollout:
         # Builds per-timestep Python sample objects (the minibatch unit),
         # so the element access is the point, not an accident; runs once
         # per iteration at sample-build time.
-        for agent in range(self.num_agents):  # reprolint: disable=PF003
+        for agent in range(self.num_agents):
             adv, ret = compute_gae(rewards[:, agent], values[:, agent], dones, gamma, lam)
             for t in range(len(self)):
                 if not self.actionable[t][agent]:
@@ -158,7 +158,7 @@ class UAVRollout:
             # iteration (segments are ragged, so no shared buffer fits).
             rewards = np.array([step["reward"] for step in segment])
             values = np.array([step["value"] for step in segment])
-            dones = np.zeros(len(segment), dtype=bool)  # reprolint: disable=PF002
+            dones = np.zeros(len(segment), dtype=bool)
             dones[-1] = True  # docking ends the decision sequence
             adv, ret = compute_gae(rewards, values, dones, gamma, lam)
             for i, step in enumerate(segment):

@@ -109,7 +109,7 @@ def run_episode(env: AirGroundEnv, ugv_policy, uav_policy,
     while True:
         # O(U) bool gather (U <= 8); wait flags flip at several env sites,
         # so a synced cache buys nothing over the rebuild.
-        actionable = np.array([not g.is_waiting for g in env.ugvs])  # reprolint: disable=PF001
+        actionable = np.array([not g.is_waiting for g in env.ugvs])
         with obs_scope("forward/ugv"), no_grad():
             out = ugv_policy(res.ugv_observations)
             dist = out.distribution
@@ -121,8 +121,8 @@ def run_episode(env: AirGroundEnv, ugv_policy, uav_policy,
         # Fresh zeroed O(V) vectors each timeslot: docked rows must read
         # 0.0, so buffer reuse would still pay the zeroing pass.
         uav_actions: list[np.ndarray | None] = [None] * cfg.num_uavs
-        uav_logp = np.zeros(cfg.num_uavs)  # reprolint: disable=PF002
-        uav_values = np.zeros(cfg.num_uavs)  # reprolint: disable=PF002
+        uav_logp = np.zeros(cfg.num_uavs)
+        uav_values = np.zeros(cfg.num_uavs)
         uav_obs_kept = {}
         if airborne:
             batch = [res.uav_observations[v] for v in airborne]
@@ -141,9 +141,9 @@ def run_episode(env: AirGroundEnv, ugv_policy, uav_policy,
             # is None during training).
             trace.append({
                 "t": env.t,
-                "ugv_positions": np.array([g.position for g in env.ugvs]),  # reprolint: disable=PF001
-                "uav_positions": np.array([u.position for u in env.uavs]),  # reprolint: disable=PF001
-                "uav_airborne": np.array([u.airborne for u in env.uavs]),  # reprolint: disable=PF001
+                "ugv_positions": np.array([g.position for g in env.ugvs]),
+                "uav_positions": np.array([u.position for u in env.uavs]),
+                "uav_airborne": np.array([u.airborne for u in env.uavs]),
             })
 
         prev_obs = res.ugv_observations
@@ -204,9 +204,9 @@ def run_vec_episodes(venv: VecAirGroundEnv, ugv_policy, uav_policy,
 
         # One CNN forward for every airborne UAV across all replicas.
         # Docked rows must read 0.0, so these stay freshly zeroed.
-        raw = np.zeros((num_envs, cfg.num_uavs, 2))  # reprolint: disable=PF002
-        uav_logp = np.zeros((num_envs, cfg.num_uavs))  # reprolint: disable=PF002
-        uav_values = np.zeros((num_envs, cfg.num_uavs))  # reprolint: disable=PF002
+        raw = np.zeros((num_envs, cfg.num_uavs, 2))
+        uav_logp = np.zeros((num_envs, cfg.num_uavs))
+        uav_values = np.zeros((num_envs, cfg.num_uavs))
         ks, vs = np.nonzero(prev_uav_obs.airborne)
         if len(ks):
             with obs_scope("forward/uav"), no_grad():
@@ -682,8 +682,8 @@ class IPPOTrainer:
                         with obs_scope("forward"):
                             # Ragged per-sample fields gathered once per
                             # minibatch (list-based legacy update path).
-                            actions = np.stack([s.action for s in batch])  # reprolint: disable=PF002
-                            old_logp = np.array([s.log_prob for s in batch])  # reprolint: disable=PF002
+                            actions = np.stack([s.action for s in batch])
+                            old_logp = np.array([s.log_prob for s in batch])
                             ret = np.array([s.ret for s in batch])
                             old_value = np.array([s.value for s in batch])
                             # UAVPolicy.forward is exactly stack +
@@ -692,8 +692,8 @@ class IPPOTrainer:
                             # array forward keep the list-based loss.
                             if hasattr(self.uav_policy, "forward_arrays"):
                                 obs = [s.observation for s in batch]
-                                grids = np.stack([o.grid for o in obs])  # reprolint: disable=PF002
-                                aux = np.stack([o.aux for o in obs])  # reprolint: disable=PF002
+                                grids = np.stack([o.grid for o in obs])
+                                aux = np.stack([o.aux for o in obs])
                                 losses = self._uav_loss_arrays(
                                     grids, aux, actions, old_logp,
                                     norm_adv[idxs], old_value, ret,

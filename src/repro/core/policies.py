@@ -142,7 +142,7 @@ class UGVPolicy(Module):
         # replica-wise to gather the negative-centre stops.
         # Depends only on num_agents (U <= 8); rebuilding the (U, U-1)
         # index per forward is cheaper than a keyed cache.
-        other_idx = np.array([[j for j in range(num_agents) if j != u]  # reprolint: disable=PF001
+        other_idx = np.array([[j for j in range(num_agents) if j != u]
                               for u in range(num_agents)], dtype=int).reshape(num_agents, -1)
         others = obs.ugv_stops[:, other_idx].reshape(num_replicas * num_agents, -1)
 

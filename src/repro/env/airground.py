@@ -128,9 +128,9 @@ class AirGroundEnv:
         return state_digest({
             "rng": self.rng_state(),
             "t": int(self.t),
-            "ugv_pos": np.array([ugv.position for ugv in self.ugvs]),  # reprolint: disable=PF001
-            "uav_pos": np.array([uav.position for uav in self.uavs]),  # reprolint: disable=PF001
-            "uav_energy": np.array([uav.energy for uav in self.uavs]),  # reprolint: disable=PF001
+            "ugv_pos": np.array([ugv.position for ugv in self.ugvs]),
+            "uav_pos": np.array([uav.position for uav in self.uavs]),
+            "uav_energy": np.array([uav.energy for uav in self.uavs]),
             "sensor_data": self._sensor_remaining,
         })
 
@@ -357,7 +357,7 @@ class AirGroundEnv:
         for uav in self.uavs:
             if not uav.airborne:
                 continue
-            gaps = np.hypot(positions[:, 0] - uav.position[0],  # reprolint: disable=PF004
+            gaps = np.hypot(positions[:, 0] - uav.position[0],
                             positions[:, 1] - uav.position[1])
             for p in np.nonzero(gaps <= cfg.sensing_range)[0]:
                 sensor = self.sensors[int(p)]
@@ -418,7 +418,7 @@ class AirGroundEnv:
         """Boolean (U,): which UGVs act next timeslot (not holding a release)."""
         # O(U) bool gather with U <= 8; wait flags flip at three sites, so
         # a cache buys nothing over the rebuild.
-        return np.array([not g.is_waiting for g in self.ugvs])  # reprolint: disable=PF001
+        return np.array([not g.is_waiting for g in self.ugvs])
 
     def encode_observations(self, ugv_out, uav_out, idx=()) -> None:
         """Write current observations into array slots (see UGV/UAVObsArrays)."""
@@ -455,8 +455,8 @@ class AirGroundEnv:
         # Metric snapshots run on the reporting path (the vec hot path
         # uses step_dynamics, which skips per-step metric dicts).
         zeta = cooperation_factor(
-            np.array([u.releases for u in self.uavs]),  # reprolint: disable=PF001
-            np.array([u.effective_releases for u in self.uavs]))  # reprolint: disable=PF001
+            np.array([u.releases for u in self.uavs]),
+            np.array([u.effective_releases for u in self.uavs]))
         spent = sum(u.energy_spent for u in self.uavs)
         charged = sum(u.energy_charged for u in self.uavs)
         beta = energy_ratio(spent, self.config.uav_energy * self.config.num_uavs, charged)

@@ -234,7 +234,7 @@ class ObservationBuilder:
             r1 = min(self.grid_h - 1, int(box.max_y // cell))
             # One-off rasterisation at builder construction; the polygon
             # containment test is per-cell by nature.
-            for r in range(r0, r1 + 1):  # reprolint: disable=PF003
+            for r in range(r0, r1 + 1):
                 for c in range(c0, c1 + 1):
                     centre = ((c + 0.5) * cell, (r + 0.5) * cell)
                     if building.contains(centre):
@@ -263,8 +263,8 @@ class ObservationBuilder:
 
         # UGV positions/stops mutate on every move; the O(U) gather
         # (U <= 8) is cheaper than syncing a cache at each move site.
-        positions = np.array([u.position for u in ugvs]) / self._extent  # reprolint: disable=PF001
-        stops = np.array([u.stop for u in ugvs], dtype=int)  # reprolint: disable=PF001
+        positions = np.array([u.position for u in ugvs]) / self._extent
+        stops = np.array([u.stop for u in ugvs], dtype=int)
 
         mask = np.zeros(b + 1, dtype=bool)
         mask[:b] = self.reachable[ugvs[agent].stop]
@@ -289,9 +289,9 @@ class ObservationBuilder:
         features[:, :, 2] = np.where(seen_mask, last_seen / data_scale, cfg.mask_constant)
 
         # Same O(U) gather trade-off as ugv_observation above.
-        positions = np.array([g.position for g in ugvs])  # reprolint: disable=PF001
+        positions = np.array([g.position for g in ugvs])
         out.ugv_positions[idx] = positions / self._extent
-        stops = np.fromiter((g.stop for g in ugvs), dtype=np.int64, count=u)  # reprolint: disable=PF001
+        stops = np.fromiter((g.stop for g in ugvs), dtype=np.int64, count=u)
         out.ugv_stops[idx] = stops
 
         mask = out.action_mask[idx]  # (U, B + 1) view
@@ -372,7 +372,7 @@ class ObservationBuilder:
         radius = cfg.uav_obs_radius
         size = cfg.uav_obs_size
         # Airborne flags flip at launch/dock; O(V) bool gather per encode.
-        airborne = np.fromiter((v.airborne for v in uavs), dtype=bool, count=len(uavs))  # reprolint: disable=PF001
+        airborne = np.fromiter((v.airborne for v in uavs), dtype=bool, count=len(uavs))
         out.airborne[idx] = airborne
         if not airborne.any():
             return

@@ -155,7 +155,7 @@ def trajectory_statistics(trace: list[dict], env) -> dict[str, float]:
     pairs = 0
     # Post-hoc trajectory analysis (once per study, not per step); the
     # all-pairs overlap is the statistic itself.
-    for a in range(num_ugvs):  # reprolint: disable=PF004
+    for a in range(num_ugvs):
         for b in range(a + 1, num_ugvs):
             pairs += 1
             union = len(visited[a] | visited[b])

@@ -42,7 +42,7 @@ def grid_network(width: float, height: float, rows: int, cols: int,
     ys = np.linspace(0.05 * height, 0.95 * height, rows)
     # One-off network construction at campus-build time; per-node rng
     # jitter draws are order-dependent, so the loop stays.
-    for r in range(rows):  # reprolint: disable=PF003
+    for r in range(rows):
         for c in range(cols):
             x = xs[c] + (rng.uniform(-jitter, jitter) if jitter else 0.0)
             y = ys[r] + (rng.uniform(-jitter, jitter) if jitter else 0.0)
@@ -80,7 +80,7 @@ def irregular_network(width: float, height: float, junctions: int,
         placed += 1
     nodes = list(graph.nodes)
     # One-off gather at network-construction time.
-    positions = np.array([graph.nodes[n]["pos"] for n in nodes])  # reprolint: disable=PF001
+    positions = np.array([graph.nodes[n]["pos"] for n in nodes])
     for i, a in enumerate(nodes):
         deltas = positions - positions[i]
         dists = np.hypot(deltas[:, 0], deltas[:, 1])

@@ -56,7 +56,7 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: i
     cols = cols.reshape(n, c, kh, kw, oh, ow)
     # Loops over the kh x kw kernel taps (typically 3x3), not array
     # elements; each iteration is one strided block accumulate.
-    for i in range(kh):  # reprolint: disable=PF003
+    for i in range(kh):
         for j in range(kw):
             padded[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
     if padding:

@@ -19,7 +19,8 @@ Unlike the anomaly provenance, trace records
   forward+backward step.
 
 When no trace is active the engine pays a single ``is None`` test per
-op (see ``benchmarks/graphcheck_overhead.py`` / ``BENCH_graphcheck.json``).
+op; that cost sits on the training path, which ``bench/`` times end to
+end.
 
 Usage::
 
@@ -131,8 +132,8 @@ class trace:
     _extra_site_skip: tuple = ()
 
     def __init__(self, site_provenance: bool = True):
-        # site_provenance=False skips the stack walk per op (used by the
-        # overhead benchmark to isolate the record-keeping cost).
+        # site_provenance=False skips the stack walk per op
+        # (``profile_ops`` exposes it for very hot loops).
         self.records: list[TapeRecord] = []
         self._by_id: dict[int, TapeRecord] = {}
         self._phase = "forward"

@@ -41,3 +41,21 @@ def test_cli_lint_subcommand(capsys):
     out = capsys.readouterr().out
     for code in ("RL001", "RL004", "RL008"):
         assert code in out
+
+
+def test_cli_lint_runs_dt_rules(tmp_path, capsys):
+    bad = tmp_path / "src" / "mod.py"
+    bad.parent.mkdir()
+    bad.write_text("import numpy as np\n\n\n"
+                   "def draw():\n"
+                   "    return np.random.rand()\n")
+    assert cli_main(["lint", str(bad)]) == 1
+    findings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(str(bad))]
+    assert len(findings) == 1 and " DT001 " in findings[0]
+
+    assert cli_main(["lint", "--list-rules"]) == 0
+    codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    # RL001-RL009 and DT001-DT004, each once: DT001 is the one global-rng rule.
+    assert codes == ([f"RL00{i}" for i in range(1, 10)]
+                     + [f"DT00{i}" for i in range(1, 5)])

@@ -2,7 +2,7 @@
 
 ``AirGroundEnv`` keeps ``_sensor_positions`` and ``_sensor_remaining``
 caches so per-step consumers (collection scan, fairness, rasters) never
-rebuild arrays from the Python ``Sensor`` objects (perfcheck PF001).
+rebuild arrays from the Python ``Sensor`` objects.
 The caches must stay *bit-identical* to a rebuild at every step — the
 fix shipped with a byte-identical train.jsonl guarantee, and these
 tests pin the invariant that makes that possible: the cache is synced
