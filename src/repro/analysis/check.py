@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import sys
 import time
@@ -43,25 +44,26 @@ class PillarResult:
         return "ok" if self.exit_code == 0 else f"FAIL ({self.exit_code})"
 
 
+# Pillar name -> (analysis module whose ``main`` runs it, its argv).
+# ``_METHODS`` in an argv expands to the ``--methods`` list; the module is
+# imported only when its pillar runs.
+_METHODS = "<methods>"
+_PILLARS = {
+    "lint": (".lint", ("src",)),
+    "graphcheck": (".graphcheck", ("--methods", _METHODS)),
+    "check-determinism": (".determinism", ("--quick",)),
+}
+
+
 def _pillars(methods: list[str]) -> list[tuple[str, list[str]]]:
-    """(name, argv) per pillar; import deferred so ``--list`` stays cheap."""
-    return [
-        ("lint", ["src"]),
-        ("graphcheck", ["--methods", *methods]),
-        ("check-determinism", ["--quick"]),
-    ]
+    """(name, argv) per pillar, in run order."""
+    return [(name, [word for arg in argv
+                    for word in (methods if arg == _METHODS else [arg])])
+            for name, (_, argv) in _PILLARS.items()]
 
 
 def _run_pillar(name: str, pillar_argv: list[str]) -> PillarResult:
-    if name == "lint":
-        from .lint import main as pillar_main
-    elif name == "graphcheck":
-        from .graphcheck import main as pillar_main
-    elif name == "check-determinism":
-        from .determinism import main as pillar_main
-    else:  # pragma: no cover - guarded by _pillars
-        raise ValueError(f"unknown pillar {name!r}")
-
+    pillar_main = importlib.import_module(_PILLARS[name][0], __package__).main
     buffer = io.StringIO()
     start = time.perf_counter()
     try:
@@ -96,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="registry methods the traced pillars analyse "
                              "(default: garl)")
     parser.add_argument("--only", nargs="+", default=None,
-                        choices=["lint", "graphcheck", "check-determinism"],
+                        choices=list(_PILLARS),
                         help="run just these pillars")
     parser.add_argument("--verbose", action="store_true",
                         help="replay every pillar's output, not only failures")

@@ -198,11 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port (0 picks a free one; see "
                               "--ready-file)")
     p_serve.add_argument("--max-batch", type=int, default=32,
-                         help="flush a batch at this many queued requests "
-                              "(default: 32)")
-    p_serve.add_argument("--max-wait-us", type=float, default=2000.0,
-                         help="flush a batch this long after its oldest "
-                              "request arrived, in µs (default: 2000)")
+                         help="most requests one batched forward takes "
+                              "from the queue (default: 32)")
     p_serve.add_argument("--queue-limit", type=int, default=256,
                          help="bounded-queue depth; beyond it requests are "
                               "shed with 429 (default: 256)")
@@ -268,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return run_service(
                 args.artifact, host=args.host, port=args.port,
-                max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-                queue_limit=args.queue_limit, timeout_ms=args.timeout_ms,
+                max_batch=args.max_batch, queue_limit=args.queue_limit,
+                timeout_ms=args.timeout_ms,
                 drain_timeout_s=args.drain_timeout,
                 verify=not args.no_verify, ready_file=args.ready_file)
         except ArtifactError as exc:

@@ -89,6 +89,17 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+def _is_basic_index(index) -> bool:
+    """True when ``index`` is numpy basic indexing: ints, slices,
+    ``Ellipsis`` and ``None``, alone or in a tuple.  Bools and arrays
+    (advanced indexing) can select an element more than once."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis or isinstance(item, slice)
+               or (isinstance(item, (int, np.integer))
+                   and not isinstance(item, bool))
+               for item in items)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, inverting numpy broadcasting."""
     if grad.shape == shape:
@@ -592,11 +603,18 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,))
+        basic = _is_basic_index(index)
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                if basic:
+                    # A basic index selects each element at most once, so
+                    # adding through the view equals ``np.add.at`` byte
+                    # for byte (0.0 + -0.0 is +0.0 either way).
+                    grad[index] += out.grad
+                else:
+                    np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
 
         out._backward = _backward if out.requires_grad else None

@@ -11,19 +11,18 @@ This package is that path, in three layers:
   weights + config fingerprint + an observation/action schema manifest),
   verified bit-identical against the training-time policy at export time
   and re-verifiable at every load.
-* :mod:`repro.serve.engine` — a dynamic micro-batcher that coalesces
-  concurrent requests into the PR-3 batched forwards
-  (``UGVPolicy.forward_batched`` / ``UAVPolicy.forward_arrays``), with
-  max-batch / max-wait knobs, a bounded queue with load-shedding and
-  per-request deadlines.
+* :mod:`repro.serve.engine` — a work-conserving micro-batcher that
+  runs whatever requests are queued (up to ``max_batch``) as one
+  batched forward (``UGVPolicy.forward_batched`` /
+  ``UAVPolicy.forward_arrays``) without holding a batch open, behind a
+  bounded queue with load-shedding and per-request deadlines.
 * :mod:`repro.serve.service` — ``repro serve``: a stdlib-only asyncio
   HTTP front end with per-stream scenario sessions, request timeouts,
   429-style rejection under overload and graceful drain on SIGTERM.
 
 :mod:`repro.serve.loadgen` replays thousands of concurrent synthetic
-scenario streams against a running service; ``benchmarks/serve_latency.py``
-drives the whole train → export → serve → load-test loop and writes
-p50/p99 latency + throughput + shed rate to ``BENCH_serve.json``.
+scenario streams against a running service and returns p50/p99 latency,
+throughput and shed, timeout and connect-error counts.
 
 See ``docs/serving.md`` for the artifact format, the knobs and the
 operations guide.

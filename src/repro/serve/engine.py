@@ -3,12 +3,12 @@
 Concurrent callers submit single-scenario observation payloads; a single
 worker thread coalesces them into one batched forward through the
 policy's PR-3 batched paths (``UGVPolicy.forward_batched`` over stacked
-replicas, ``UAVPolicy.forward_arrays`` over concatenated crops).  Batch
-assembly is governed by two knobs:
-
-* ``max_batch`` — flush as soon as this many requests are waiting;
-* ``max_wait_us`` — flush no later than this long after the *oldest*
-  queued request arrived, so a lone request never waits for company.
+replicas, ``UAVPolicy.forward_arrays`` over concatenated crops).
+Batching is work-conserving: the worker takes the oldest request plus
+whatever is already queued, up to ``max_batch``, and runs it at once.
+It never holds a batch open waiting for company, so a lone request pays
+no batching delay; requests that arrive during a forward form the next
+batch, so batches still grow with load.
 
 The queue is bounded: :meth:`InferenceEngine.submit` raises
 :class:`EngineOverloaded` instead of queueing unboundedly (the service
@@ -20,9 +20,10 @@ spending a forward on them.
 Sampling happens inside the worker thread with the *per-session* rng the
 caller passed, so one scenario stream's action sequence depends only on
 its own seed and its own observation order — never on which other
-streams shared a batch.  (The forward itself is batch-composition
-independent too: all serving ops are row-independent, which the artifact
-probe verifies bit-for-bit at export and load time.)
+streams shared a batch.  (The forward's floats are not: BLAS blocks
+rows differently at different batch sizes, so a row's outputs can move
+in the last few bits with the size of its batch; see
+``docs/serving.md``.)
 
 Deadlines use ``time.perf_counter`` — a monotonic interval clock, not
 wall time, so the determinism analyzer's DT002 wall-clock rule stays
@@ -103,21 +104,23 @@ class InferenceEngine:
     """
 
     def __init__(self, policy: FrozenPolicy, *, max_batch: int = 32,
-                 max_wait_us: float = 2000.0, queue_limit: int = 256,
-                 timeout_ms: float = 1000.0, autostart: bool = True):
+                 queue_limit: int = 256, timeout_ms: float = 1000.0,
+                 autostart: bool = True):
         if max_batch < 1 or queue_limit < 1:
             raise ValueError("max_batch and queue_limit must be >= 1")
         self.policy = policy
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_us) / 1e6
         self.timeout_s = float(timeout_ms) / 1e3
         self._queue: queue.Queue = queue.Queue(maxsize=int(queue_limit))
         self._thread: threading.Thread | None = None
         self._stopping = False
         # Monotonic counters; each key is written from a single thread
         # (shed/submitted by callers, the rest by the worker).
+        # ``queue_wait_ms`` sums each live request's submit -> batch-start
+        # wait; ``forward_ms`` sums the time spent in per-kind forwards.
         self.stats = {"submitted": 0, "completed": 0, "shed": 0,
-                      "timeouts": 0, "batches": 0, "max_batch_seen": 0}
+                      "timeouts": 0, "batches": 0, "max_batch_seen": 0,
+                      "queue_wait_ms": 0.0, "forward_ms": 0.0}
         if autostart:
             self.start()
 
@@ -176,10 +179,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _worker(self) -> None:
         while True:
-            first = self._queue.get()
-            if first is _STOP:
-                return
-            batch = self._collect(first)
+            batch = self._collect()
             stop_seen = batch[-1] is _STOP
             if stop_seen:
                 batch.pop()
@@ -188,29 +188,14 @@ class InferenceEngine:
             if stop_seen:
                 return
 
-    def _collect(self, first: _Request) -> list:
-        """Assemble one batch: up to ``max_batch`` requests, flushed no
-        later than ``max_wait_us`` after the oldest one arrived.
-
-        When the oldest request has already waited past its window (the
-        engine is backlogged), still sweep everything sitting in the
-        queue right now — under sustained load that is where batching
-        pays for itself; flushing singles would collapse throughput to
-        one forward per request.
-        """
-        batch: list = [first]
-        flush_at = first.enqueued + self.max_wait_s
-        while len(batch) < self.max_batch:
-            remaining = flush_at - time.perf_counter()
+    def _collect(self) -> list:
+        """Block for the oldest request, then add whatever is already
+        queued behind it, up to ``max_batch`` (or up to a stop marker)."""
+        batch: list = [self._queue.get()]
+        while len(batch) < self.max_batch and batch[-1] is not _STOP:
             try:
-                if remaining <= 0:
-                    item = self._queue.get_nowait()
-                else:
-                    item = self._queue.get(timeout=remaining)
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
-                break
-            batch.append(item)
-            if item is _STOP:
                 break
         return batch
 
@@ -227,6 +212,7 @@ class InferenceEngine:
                 live.append(request)
         if not live:
             return
+        self.stats["queue_wait_ms"] += sum(now - r.enqueued for r in live) * 1e3
         self.stats["batches"] += 1
         self.stats["max_batch_seen"] = max(self.stats["max_batch_seen"], len(live))
         histogram_observe("serve/batch_size", len(live))
@@ -246,6 +232,13 @@ class InferenceEngine:
         histogram_observe("serve/oldest_latency_ms", latency_ms)
 
     # -- per-kind batched execution ------------------------------------
+    def _forward(self, forward, *args):
+        start = time.perf_counter()
+        try:
+            return forward(*args)
+        finally:
+            self.stats["forward_ms"] += (time.perf_counter() - start) * 1e3
+
     def _run_ugv(self, group: list[_Request]) -> None:
         """One ``forward_batched`` over the group's stacked replicas."""
         obs = UGVObsArrays(
@@ -254,7 +247,7 @@ class InferenceEngine:
             ugv_stops=np.stack([r.arrays[2] for r in group]).astype(np.int64),
             action_mask=np.stack([r.arrays[3] for r in group]),
         )
-        logits, values = self.policy.ugv_forward(obs)
+        logits, values = self._forward(self.policy.ugv_forward, obs)
         # Row-wise log-softmax in float64 (matches Categorical's math).
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs_all = shifted - np.log(
@@ -279,7 +272,8 @@ class InferenceEngine:
         sizes = [r.arrays[0].shape[0] for r in group]
         grids = np.concatenate([r.arrays[0] for r in group])
         aux = np.concatenate([r.arrays[1] for r in group])
-        mean, log_std, values = self.policy.uav_forward(grids, aux)
+        mean, log_std, values = self._forward(self.policy.uav_forward,
+                                              grids, aux)
         std = np.exp(log_std)
         max_step = float(self.policy.schema["uav_max_step"])
         offset = 0

@@ -13,8 +13,9 @@ simulator with a release-happy random policy
 (:func:`build_observation_pool`), so request payloads have the exact
 shapes and value distributions production traffic would.  Per-request
 wall latency, HTTP status and shed/timeout counts aggregate into the
-summary :func:`run_load` returns; ``benchmarks/serve_latency.py`` turns
-that into ``BENCH_serve.json``.
+summary :func:`run_load` returns.  The many-connection check in
+``tests/serve/test_service.py`` runs it with 200 streams against the
+real ``repro serve`` process.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ Endpoints (all JSON unless noted):
 
 * ``GET /healthz`` — ``{"status": "ok" | "draining"}``.
 * ``GET /v1/artifact`` — the artifact manifest.
-* ``GET /v1/metrics`` — engine counters plus the live metrics registry.
+* ``GET /v1/metrics`` — engine counters (including the cumulative
+  ``queue_wait_ms`` and ``forward_ms`` stage times) plus the live
+  metrics registry.
 * ``POST /v1/session`` — ``{"seed": int}`` ⇒ ``{"session": id}``; every
   scenario stream owns a session whose rng makes its action sampling
   depend only on its own seed and request order.
@@ -393,8 +395,7 @@ class DispatchService:
 
 
 def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
-                port: int = 8765, max_batch: int = 32,
-                max_wait_us: float = 2000.0, queue_limit: int = 256,
+                port: int = 8765, max_batch: int = 32, queue_limit: int = 256,
                 timeout_ms: float = 1000.0, drain_timeout_s: float = 30.0,
                 verify: bool = True, ready_file: str | Path | None = None) -> int:
     """Load an artifact and serve it until SIGTERM/SIGINT, then drain.
@@ -408,7 +409,6 @@ def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
     policy = load_artifact(artifact_dir, verify=verify)
     policy.warmup()
     engine = InferenceEngine(policy, max_batch=max_batch,
-                             max_wait_us=max_wait_us,
                              queue_limit=queue_limit, timeout_ms=timeout_ms)
     service = DispatchService(policy, engine, host=host, port=port,
                               drain_timeout_s=drain_timeout_s)

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import array_shapes, arrays, basic_indices
 
 from repro.nn import Tensor
 
@@ -127,3 +127,43 @@ def test_clip_bounds_hold(x, low, high):
     clipped = Tensor(x).clip(low, high).numpy()
     assert (clipped >= low - 1e-12).all()
     assert (clipped <= high + 1e-12).all()
+
+
+# Upstream gradients: finite values, with -0.0 drawn often on purpose.
+_UPSTREAM = st.one_of(st.just(-0.0), st.floats(
+    min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _basic_slicing(draw):
+    shape = draw(array_shapes(min_dims=1, max_dims=3, max_side=5))
+    index = draw(basic_indices(shape, allow_newaxis=True,
+                               allow_ellipsis=True))
+    return shape, index
+
+
+@settings(**SETTINGS)
+@given(_basic_slicing(), st.data())
+def test_basic_index_backward_bytes_match_add_at(case, data):
+    """The view fast path for ints, slices (negative steps too), Ellipsis
+    and None gives the same gradient bytes as ``np.add.at``."""
+    shape, index = case
+    t = Tensor(np.zeros(shape), requires_grad=True)
+    out = t[index]
+    upstream = data.draw(arrays(np.float64, out.shape, elements=_UPSTREAM))
+    out.backward(upstream)
+    expected = np.zeros(shape)
+    np.add.at(expected, index, upstream)
+    assert t.grad.tobytes() == expected.tobytes()
+
+
+@settings(**SETTINGS)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(min_value=-n, max_value=n - 1), min_size=1, max_size=12))))
+def test_duplicate_advanced_indices_accumulate(case):
+    n, picks = case
+    t = Tensor(np.zeros(n), requires_grad=True)
+    t[np.array(picks)].sum().backward()
+    expected = np.bincount(np.array(picks) % n, minlength=n).astype(float)
+    np.testing.assert_array_equal(t.grad, expected)

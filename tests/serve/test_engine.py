@@ -1,12 +1,15 @@
-"""Micro-batcher semantics: flush, coalesce, deadline, shed, drain."""
+"""Micro-batcher semantics: no hold, coalesce, deadline, shed, drain,
+stage accounting."""
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 import pytest
 
+from repro.serve import engine as engine_module
 from repro.serve.artifact import _probe_arrays
 from repro.serve.engine import EngineOverloaded, InferenceEngine
 
@@ -24,32 +27,34 @@ def _uav_payload(policy, rng, n=2):
 
 @pytest.fixture
 def engine(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8, max_wait_us=2000,
+    eng = InferenceEngine(frozen_policy, max_batch=8,
                           queue_limit=16, timeout_ms=2000)
     yield eng
     eng.stop()
 
 
-def test_single_request_flushes_on_max_wait(frozen_policy):
-    """A lone request completes after ~max_wait, not only once a batch
-    fills: the flush deadline is the batching contract's second half."""
-    eng = InferenceEngine(frozen_policy, max_batch=64, max_wait_us=30_000,
-                          timeout_ms=5000)
+def test_lone_request_runs_as_batch_of_one_without_hold(frozen_policy):
+    """A lone request on an idle engine runs at once as a batch of one:
+    the worker never holds a batch open waiting for company."""
+    eng = InferenceEngine(frozen_policy, max_batch=64, timeout_ms=5000)
     try:
         rng = np.random.default_rng(0)
-        t0 = time.perf_counter()
-        future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-        result = future.result(timeout=5)
-        elapsed = time.perf_counter() - t0
-        assert result.batch_size == 1
-        assert elapsed < 2.0  # flushed by the deadline, nowhere near forever
+        waits_ms = []
+        for _ in range(5):
+            before = eng.stats["queue_wait_ms"]
+            future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
+            assert future.result(timeout=5).batch_size == 1
+            waits_ms.append(eng.stats["queue_wait_ms"] - before)
+        assert eng.stats["batches"] == 5
+        # Only the worker's wake-up separates submit from batch start.
+        assert statistics.median(waits_ms) < 1.0, waits_ms
     finally:
         eng.stop()
 
 
 def test_coalesces_up_to_max_batch(frozen_policy):
     """Requests staged before the worker starts ride one batched forward."""
-    eng = InferenceEngine(frozen_policy, max_batch=8, max_wait_us=50_000,
+    eng = InferenceEngine(frozen_policy, max_batch=8,
                           queue_limit=32, timeout_ms=5000, autostart=False)
     rng = np.random.default_rng(1)
     futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
@@ -63,7 +68,7 @@ def test_coalesces_up_to_max_batch(frozen_policy):
 
 
 def test_mixed_kinds_share_one_assembly(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8, max_wait_us=50_000,
+    eng = InferenceEngine(frozen_policy, max_batch=8,
                           timeout_ms=5000, autostart=False)
     rng = np.random.default_rng(2)
     f_ugv = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
@@ -82,7 +87,7 @@ def test_mixed_kinds_share_one_assembly(frozen_policy):
 
 
 def test_expired_requests_time_out_without_a_forward(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8, max_wait_us=1000,
+    eng = InferenceEngine(frozen_policy, max_batch=8,
                           timeout_ms=5000, autostart=False)
     rng = np.random.default_rng(3)
     future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng,
@@ -112,7 +117,7 @@ def test_sheds_when_queue_is_full(frozen_policy):
 
 def test_stop_drains_queued_requests(frozen_policy):
     """stop() is a drain: everything already queued still completes."""
-    eng = InferenceEngine(frozen_policy, max_batch=4, max_wait_us=1000,
+    eng = InferenceEngine(frozen_policy, max_batch=4,
                           queue_limit=32, timeout_ms=5000, autostart=False)
     rng = np.random.default_rng(5)
     futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
@@ -156,3 +161,63 @@ def test_greedy_matches_argmax(frozen_policy, engine):
                           payload[2][None], payload[3][None])
     logits, _ = frozen_policy.ugv_forward(single)
     np.testing.assert_array_equal(result.actions, logits[0].argmax(axis=-1))
+
+
+class _SteppedClock:
+    """Stands in for the engine's ``time`` module: the clock moves only
+    when the test (or a forward) advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+class _ClockedPolicy:
+    """Delegates to a frozen policy; each forward advances the clock by
+    ``forward_s`` and is counted per kind."""
+
+    def __init__(self, policy, clock, forward_s):
+        self._policy = policy
+        self._clock = clock
+        self._forward_s = forward_s
+        self.calls = {"ugv": 0, "uav": 0}
+
+    def __getattr__(self, name):
+        return getattr(self._policy, name)
+
+    def _advance(self, kind, out):
+        self.calls[kind] += 1
+        self._clock.now += self._forward_s
+        return out
+
+    def ugv_forward(self, obs):
+        return self._advance("ugv", self._policy.ugv_forward(obs))
+
+    def uav_forward(self, grids, aux):
+        return self._advance("uav", self._policy.uav_forward(grids, aux))
+
+
+def test_stage_accounting_on_a_staged_queue(frozen_policy, monkeypatch):
+    """k staged requests record k queue waits (submit -> batch start) and
+    one forward per kind in ``stats``."""
+    clock = _SteppedClock()
+    monkeypatch.setattr(engine_module, "time", clock)
+    policy = _ClockedPolicy(frozen_policy, clock, forward_s=0.25)
+    eng = InferenceEngine(policy, max_batch=8, timeout_ms=60_000,
+                          autostart=False)
+    rng = np.random.default_rng(9)
+    futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
+               for _ in range(3)]
+    clock.now = 1.0
+    futures.append(eng.submit("uav", _uav_payload(frozen_policy, rng), rng=rng))
+    clock.now = 5.0
+    eng.start()
+    for future in futures:
+        future.result(timeout=5)
+    eng.stop()
+    assert policy.calls == {"ugv": 1, "uav": 1}
+    assert eng.stats["batches"] == 1
+    assert eng.stats["queue_wait_ms"] == 3 * 5000.0 + 4000.0
+    assert eng.stats["forward_ms"] == 2 * 250.0

@@ -1,12 +1,14 @@
-"""Service front-end semantics: routing, schema 400s, overload, drain.
+"""Service front-end semantics: routing, schema 400s, overload, drain,
+many-connection load.
 
 Most tests drive an in-process service on an ephemeral port through a
-plain ``http.client`` connection.  The SIGTERM drain drill runs the real
-``repro serve`` process and kills it mid-request.
+plain ``http.client`` connection.  The SIGTERM drain drill and the
+many-connection load check run the real ``repro serve`` process.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import http.client
@@ -23,7 +25,11 @@ import pytest
 
 from repro.serve.artifact import _probe_arrays
 from repro.serve.engine import InferenceEngine
+from repro.serve.loadgen import build_observation_pool, run_load
 from repro.serve.service import DispatchService
+
+SERVE_TESTS = Path(__file__).resolve().parent
+REPO_SRC = SERVE_TESTS.parents[1] / "src"
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +88,8 @@ def _npz(arrays: dict) -> bytes:
 
 @pytest.fixture(scope="module")
 def server(frozen_policy):
-    srv = _Server(frozen_policy, max_batch=8, max_wait_us=1000,
-                  queue_limit=64, timeout_ms=2000)
+    srv = _Server(frozen_policy, max_batch=8, queue_limit=64,
+                  timeout_ms=2000)
     yield srv
     srv.stop()
 
@@ -124,6 +130,19 @@ def test_healthz_and_artifact(server):
     status, body = _call(conn, "GET", "/v1/metrics")
     assert status == 200 and "engine" in json.loads(body)
     conn.close()
+
+
+def test_metrics_export_engine_stage_times(server, frozen_policy, session_id):
+    conn = server.connection()
+    status, _ = _call(conn, "POST", "/v1/act",
+                      json.dumps(_ugv_json(frozen_policy, session_id)).encode())
+    assert status == 200
+    status, body = _call(conn, "GET", "/v1/metrics")
+    conn.close()
+    engine = json.loads(body)["engine"]
+    # Both are written before the request's future resolves.
+    assert engine["queue_wait_ms"] > 0.0
+    assert engine["forward_ms"] > 0.0
 
 
 def test_act_json_roundtrip(server, frozen_policy, session_id):
@@ -175,9 +194,31 @@ def test_schema_mismatch_is_400(server, frozen_policy, session_id):
     conn.close()
 
 
+class _GatedPolicy:
+    """Delegates to a frozen policy, but every forward first waits for
+    ``gate``: the engine stalls inside its forward until the test opens
+    it."""
+
+    def __init__(self, policy, gate: threading.Event):
+        self._policy = policy
+        self._gate = gate
+
+    def __getattr__(self, name):
+        return getattr(self._policy, name)
+
+    def ugv_forward(self, obs):
+        assert self._gate.wait(timeout=30), "gate never opened"
+        return self._policy.ugv_forward(obs)
+
+    def uav_forward(self, grids, aux):
+        assert self._gate.wait(timeout=30), "gate never opened"
+        return self._policy.uav_forward(grids, aux)
+
+
 def test_overload_sheds_with_429(frozen_policy):
-    """With a tiny queue and a stalled clock, extra load sheds as 429."""
-    srv = _Server(frozen_policy, max_batch=2, max_wait_us=200_000,
+    """With a tiny queue and a stalled forward, extra load sheds as 429."""
+    gate = threading.Event()
+    srv = _Server(_GatedPolicy(frozen_policy, gate), max_batch=2,
                   queue_limit=2, timeout_ms=5000)
     try:
         conn = srv.connection()
@@ -195,6 +236,12 @@ def test_overload_sheds_with_429(frozen_policy):
         threads = [threading.Thread(target=fire) for _ in range(12)]
         for t in threads:
             t.start()
+        # At most max_batch requests sit in the stalled forward and
+        # queue_limit more in the queue; every other one is shed at once.
+        deadline = time.perf_counter() + 20
+        while len(results) < 12 - 2 - 2 and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        gate.set()
         for t in threads:
             t.join(timeout=20)
         conn.close()
@@ -203,6 +250,7 @@ def test_overload_sheds_with_429(frozen_policy):
         assert 429 in results, f"nothing shed: {results}"
         assert 200 in results, f"everything shed: {results}"
     finally:
+        gate.set()
         srv.stop()
 
 
@@ -210,36 +258,43 @@ def test_overload_sheds_with_429(frozen_policy):
 # SIGTERM drain (real process)
 # ----------------------------------------------------------------------
 
+def _spawn_serve(args: list[str], tmp_path: Path):
+    """Start ``python ARGS --port 0 --ready-file ...``; return the process
+    and the bound host and port once it listens."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    ready = tmp_path / "ready"
+    proc = subprocess.Popen(
+        [sys.executable, *args, "--port", "0", "--ready-file", str(ready)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    deadline = time.perf_counter() + 60
+    while len(ready.read_text().split() if ready.exists() else ()) != 2:
+        if proc.poll() is not None or time.perf_counter() > deadline:
+            if proc.poll() is None:
+                proc.kill()
+            pytest.fail(f"service never came up:\n{proc.communicate()[0]}")
+        time.sleep(0.05)
+    host, port = ready.read_text().split()
+    return proc, host, int(port)
+
+
 def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
                                            tmp_path):
     """SIGTERM mid-traffic: the in-flight request completes, new work is
     refused with 503, and the process exits 0."""
-    repo_src = str(Path(__file__).resolve().parents[2] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-    ready = tmp_path / "ready"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", str(artifact_dir),
-         "--port", "0", "--ready-file", str(ready),
-         "--max-wait-us", "150000", "--timeout-ms", "5000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    # Every UGV forward in this process sleeps 0.5 s first.
+    proc, host, port = _spawn_serve(
+        [str(SERVE_TESTS / "slow_serve.py"), "0.5", str(artifact_dir),
+         "--timeout-ms", "5000"], tmp_path)
     try:
-        deadline = time.perf_counter() + 60
-        while not ready.exists():
-            assert proc.poll() is None, proc.stdout.read()
-            assert time.perf_counter() < deadline, "service never came up"
-            time.sleep(0.05)
-        host, port = ready.read_text().split()
-        port = int(port)
-
         conn = http.client.HTTPConnection(host, port, timeout=20)
         status, body = _call(conn, "POST", "/v1/session", b"{}")
         assert status == 200
         sid = json.loads(body)["session"]
         payload = json.dumps(_ugv_json(frozen_policy, sid)).encode()
 
-        # Fire a request that will sit in the 150 ms batching window,
-        # then SIGTERM while it is in flight.
+        # Fire a request that will sit in the slowed forward, then
+        # SIGTERM while it is in flight.
         result: dict = {}
 
         def act():
@@ -264,3 +319,31 @@ def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+# ----------------------------------------------------------------------
+# Many concurrent connections (real process)
+# ----------------------------------------------------------------------
+
+def test_many_keepalive_streams_all_answered(artifact_dir, tmp_path):
+    """200 concurrent keep-alive scenario streams against the real
+    process: every request is answered 200 (no shed, timeout or connect
+    error), p99 stays under 500 ms, and SIGTERM then exits 0."""
+    pool = build_observation_pool("kaist", "smoke", 4, 2, seed=0)
+    proc, host, port = _spawn_serve(
+        ["-m", "repro", "serve", str(artifact_dir), "--max-batch", "64",
+         "--queue-limit", "2048", "--timeout-ms", "5000"], tmp_path)
+    try:
+        summary = asyncio.run(run_load(host, port, pool, streams=200,
+                                       requests_per_stream=3, ramp_s=3.0))
+        proc.send_signal(signal.SIGTERM)
+        rc = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert summary["completed"] == 200 * 3, summary
+    assert summary["shed"] == summary["timeouts"] == 0, summary
+    assert summary["connect_errors"] == 0 and not summary["errors"], summary
+    assert summary["latency_ms"]["p99"] < 500.0, summary
+    assert rc == 0, proc.stdout.read()
