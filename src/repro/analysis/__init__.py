@@ -22,9 +22,8 @@ Three pillars, one ``repro check`` meta-command (:mod:`.check`):
   every parameter, softmax invariants, cross-step tape growth, and
   common-subexpression reporting.  Run it with ``repro graphcheck``.
 
-* **determinism** (:mod:`repro.analysis.determinism`) — a whole-program
-  shared-state map from the training entrypoints and a two-run runtime
-  divergence bisector.  Run it with ``repro check-determinism``.
+* **determinism** (:mod:`repro.analysis.determinism`) — a two-run
+  runtime divergence bisector.  Run it with ``repro check-determinism``.
 
 The **runtime numerics sanitizer** lives next to the engine in
 :mod:`repro.nn.anomaly` (``repro.nn.detect_anomaly()``); see

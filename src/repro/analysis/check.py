@@ -9,10 +9,9 @@ pre-push hook or a CI smoke stage needs:
                            determinism rules over ``src``.
 * ``graphcheck``         — GC001–GC005 IR passes on a traced step of the
                            registered methods.
-* ``check-determinism``  — shared-state map plus the two-run bisector;
-                           with ``--quick`` the bisector runs twice,
-                           2 iterations at ``num_envs=1``, then 2 at
-                           ``num_envs=4``.
+* ``check-determinism``  — the two-run bisector; with ``--quick`` it
+                           runs twice, 2 iterations at ``num_envs=1``,
+                           then 2 at ``num_envs=4``.
 
 Exit status is 0 only when every pillar passed.  Each pillar's full
 output is buffered and replayed only when it failed (always, with

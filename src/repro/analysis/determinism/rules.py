@@ -324,8 +324,7 @@ def _fork_guarded_names(tree: ast.Module) -> set[str]:
     callback guards every module global it touches (names it loads,
     stores, or declares ``global``).  State a child is guaranteed to
     clear at the fork boundary cannot leak parent mutations into a
-    worker, so DT004 exempts mutations of guarded names — the audit
-    trail for *what* is guarded lives in the shared-state map.
+    worker, so DT004 exempts mutations of guarded names.
     """
     funcs = {fn.name: fn for fn in ast.walk(tree)
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
@@ -387,8 +386,8 @@ def check_fork_unsafe_state(tree: ast.AST, ctx: Context):
                              f"state `{target_name}`; after fork each worker "
                              f"mutates its own silent copy (or races over "
                              f"shared memory) and replicas diverge — pass "
-                             f"state explicitly, or confine it to one process "
-                             f"and document it in the shared-state map")
+                             f"state explicitly, or reset it in the child "
+                             f"with an `os.register_at_fork` hook")
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,8 @@ Commands mirror the paper's experiments:
 * ``profile``      — profile a short training run: hierarchical scope
                      timers, per-op autodiff table, Chrome trace (see
                      docs/observability.md).
-* ``check-determinism`` — whole-program shared-state map and a two-run
-                     runtime divergence bisector naming the first
-                     divergent iteration and op.
+* ``check-determinism`` — two-run runtime divergence bisector naming
+                     the first divergent iteration and op.
 * ``check``        — run the three analysis pillars (lint, graphcheck,
                      check-determinism) with one summary table and a
                      combined exit code.
@@ -168,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace each method's training step into a graph IR "
                         "and run the GC001-GC005 passes (exit 1 on findings)")
     sub.add_parser("check-determinism", add_help=False,
-                   help="shared-state map + two-run runtime divergence "
-                        "bisection (exit 1 on findings)")
+                   help="two-run runtime divergence bisection "
+                        "(exit 1 on findings)")
     sub.add_parser("check", add_help=False,
                    help="run the three analysis pillars with one summary "
                         "table and a combined exit code")

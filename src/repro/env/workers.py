@@ -33,9 +33,8 @@ Design points:
   inheritable process state (tape tracer, profiler, campus cache); the
   same resets are registered as ``os.register_at_fork`` hooks in the
   owning modules, so even a raw ``fork`` cannot leak parent singletons
-  into a worker.  The audit of what crosses the fork boundary lives in
-  the determinism shared-state map
-  (``repro.analysis.determinism.sharedstate``).
+  into a worker.  ``repro lint``'s DT004 rule flags module-level
+  mutable state that a function mutates without such a hook.
 * **Fail loudly, never hang.**  Workers trap exceptions and ship the
   traceback to the learner; the learner waits on the pipe *and* the
   process sentinel, so a worker that dies without a message (OOM kill,

@@ -47,9 +47,8 @@ def get_campus(name: str, scale: float) -> tuple[CampusMap, StopGraph]:
     key = (name, scale)
     if key not in _CAMPUS_CACHE:
         campus = build_campus(name, scale=scale)
-        # Deliberate process-local cache of immutable values; listed as a
-        # HOT site in the check-determinism shared-state map — workers
-        # must rebuild it per process, never share it.
+        # Deliberate process-local cache of immutable values; the
+        # at-fork clear above makes every worker rebuild it per process.
         _CAMPUS_CACHE[key] = (campus, build_stop_graph(campus))  # reprolint: disable=DT004
     return _CAMPUS_CACHE[key]
 

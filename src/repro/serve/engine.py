@@ -221,13 +221,17 @@ class InferenceEngine:
             if not group:
                 continue
             try:
-                runner(group)
+                results = runner(group)
             except BaseException as exc:  # fail the group, keep serving
                 for request in group:
                     _resolve(request.future, exc=exc)
                 continue
+            # Count before resolving: a caller woken by its future (and
+            # any /v1/metrics read after its response) sees itself counted.
             self.stats["completed"] += len(group)
             counter_add("serve/completed", len(group))
+            for request, result in zip(group, results):
+                _resolve(request.future, result)
         latency_ms = (time.perf_counter() - live[0].enqueued) * 1e3
         histogram_observe("serve/oldest_latency_ms", latency_ms)
 
@@ -239,7 +243,7 @@ class InferenceEngine:
         finally:
             self.stats["forward_ms"] += (time.perf_counter() - start) * 1e3
 
-    def _run_ugv(self, group: list[_Request]) -> None:
+    def _run_ugv(self, group: list[_Request]) -> list[InferenceResult]:
         """One ``forward_batched`` over the group's stacked replicas."""
         obs = UGVObsArrays(
             stop_features=np.stack([r.arrays[0] for r in group]),
@@ -252,6 +256,7 @@ class InferenceEngine:
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs_all = shifted - np.log(
             np.exp(shifted).sum(axis=-1, keepdims=True))
+        results = []
         for i, request in enumerate(group):
             row_logp = log_probs_all[i]  # (U, B+1)
             if request.rng is None:
@@ -263,11 +268,12 @@ class InferenceEngine:
                 draws = request.rng.random((probs.shape[0], 1))
                 actions = (draws > cdf).sum(axis=-1)
             taken = np.take_along_axis(row_logp, actions[:, None], axis=-1)[:, 0]
-            _resolve(request.future, InferenceResult(
+            results.append(InferenceResult(
                 kind="ugv", actions=actions, log_probs=taken,
                 values=values[i], moves=None, batch_size=len(group)))
+        return results
 
-    def _run_uav(self, group: list[_Request]) -> None:
+    def _run_uav(self, group: list[_Request]) -> list[InferenceResult]:
         """One ``forward_arrays`` over the group's concatenated crops."""
         sizes = [r.arrays[0].shape[0] for r in group]
         grids = np.concatenate([r.arrays[0] for r in group])
@@ -276,6 +282,7 @@ class InferenceEngine:
                                               grids, aux)
         std = np.exp(log_std)
         max_step = float(self.policy.schema["uav_max_step"])
+        results = []
         offset = 0
         for request, n in zip(group, sizes):
             m = mean[offset:offset + n]
@@ -286,8 +293,9 @@ class InferenceEngine:
             diff = (actions - m) / std
             log_probs = (-0.5 * (diff * diff) - np.log(std)
                          - 0.5 * np.log(2.0 * np.pi)).sum(axis=-1)
-            _resolve(request.future, InferenceResult(
+            results.append(InferenceResult(
                 kind="uav", actions=actions, log_probs=log_probs,
                 values=values[offset:offset + n], moves=actions * max_step,
                 batch_size=len(group)))
             offset += n
+        return results

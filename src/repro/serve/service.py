@@ -25,7 +25,11 @@ Endpoints (all JSON unless noted):
 
 Failure semantics (the SLO contract, see ``docs/serving.md``):
 
-* malformed payload / schema mismatch → **400** (never reaches the engine);
+* malformed payload / schema mismatch / non-finite observation → **400**
+  (never reaches the engine); a broken request line or
+  ``Content-Length``, or a body cut short of it, → **400** and the
+  connection closes;
+* body over 32 MiB → **413** and the connection closes;
 * unknown session → **404**;
 * bounded queue full → **429** ``{"error": "overloaded", ...}`` — load is
   shed instead of queueing without bound;
@@ -147,7 +151,15 @@ class DispatchService:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as exc:
+                    # The stream's framing is lost: answer, then close.
+                    writer.write(self._response(
+                        exc.status, _JSON,
+                        self._json({"error": exc.message}), True))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -159,9 +171,8 @@ class DispatchService:
                 await writer.drain()
                 if close:
                     break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                asyncio.LimitOverrunError):
-            pass
+        except ConnectionError:
+            pass  # the client went away; nothing left to answer
         finally:
             writer.close()
             try:
@@ -170,24 +181,36 @@ class DispatchService:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            return None
+        """Read one request, or return None at a clean end of stream.
+
+        Raises :class:`_HttpError` when the request cannot be framed.
+        """
         try:
-            method, target, _ = line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            raise asyncio.IncompleteReadError(line, None) from None
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            raise asyncio.IncompleteReadError(b"", None)
-        body = await reader.readexactly(length) if length else b""
+            line = await reader.readline()
+            if not line:
+                return None
+            request_line = line.decode("latin-1").split(" ", 2)
+            if len(request_line) != 3:
+                raise _HttpError(400, "malformed request line")
+            headers: dict[str, str] = {}
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # readline: a line over the stream's limit
+            raise _HttpError(400, "request line or header too long") from None
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(400, f"bad Content-Length {length!r}")
+        if int(length) > _MAX_BODY:
+            raise _HttpError(413, f"body over {_MAX_BODY} bytes")
+        try:
+            body = await reader.readexactly(int(length))
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "body shorter than Content-Length") from None
+        method, target, _ = request_line
         return method.upper(), target, headers, body
 
     @staticmethod
@@ -245,9 +268,15 @@ class DispatchService:
         if self.draining:
             raise _HttpError(503, "draining; not accepting new sessions")
         try:
-            seed = int(json.loads(body or b"{}").get("seed", 0))
-        except (ValueError, json.JSONDecodeError) as exc:
+            blob = json.loads(body or b"{}")
+        except (ValueError, RecursionError) as exc:
             raise _HttpError(400, f"bad session payload: {exc}") from None
+        if not isinstance(blob, dict):
+            raise _HttpError(400, "session payload must be a JSON object")
+        seed = blob.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise _HttpError(400, f"seed must be a non-negative integer, "
+                                  f"got {seed!r}")
         self._session_counter += 1
         sid = f"s{self._session_counter:010d}"
         self.sessions[sid] = _Session(sid, seed)
@@ -312,7 +341,7 @@ class DispatchService:
     def _parse_json(body: bytes) -> tuple[dict, dict]:
         try:
             blob = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise _HttpError(400, f"bad JSON: {exc}") from None
         if not isinstance(blob, dict):
             raise _HttpError(400, "act payload must be a JSON object")
@@ -339,8 +368,11 @@ class DispatchService:
         try:
             with np.load(io.BytesIO(body), allow_pickle=False) as data:
                 arrays = {key: data[key] for key in data.files}
-        except (ValueError, OSError) as exc:
-            raise _HttpError(400, f"bad npz body: {exc}") from None
+        except Exception as exc:  # noqa: BLE001 — untrusted bytes: where
+            # they break decides the error (EOFError, BadZipFile, zlib.error,
+            # tokenize.TokenError, ValueError, TypeError for a bare .npy, ...).
+            raise _HttpError(400, f"bad npz body: {type(exc).__name__}: "
+                                  f"{exc}") from None
         return meta, arrays
 
     def _validate(self, kind: str, arrays: dict) -> tuple:
@@ -367,8 +399,8 @@ class DispatchService:
             aux = arrays.get("aux")
             if grids is None or aux is None:
                 raise _HttpError(400, "uav act needs 'grids' and 'aux'")
-            grids = np.asarray(grids, dtype=float)
-            aux = np.asarray(aux, dtype=float)
+            grids = self._numeric("grids", grids).astype(float, copy=False)
+            aux = self._numeric("aux", aux).astype(float, copy=False)
             if (grids.ndim != 4 or grids.shape[1:] != (3, size, size)
                     or grids.shape[0] < 1):
                 raise _HttpError(400, f"grids must be (N, 3, {size}, {size}), "
@@ -379,8 +411,7 @@ class DispatchService:
             return (grids, aux)
         raise _HttpError(400, f"unknown kind {kind!r}")
 
-    @staticmethod
-    def _require(arrays: dict, shapes: dict[str, tuple]) -> dict:
+    def _require(self, arrays: dict, shapes: dict[str, tuple]) -> dict:
         got = {}
         for name, shape in shapes.items():
             value = arrays.get(name)
@@ -390,8 +421,18 @@ class DispatchService:
             if value.shape != shape:
                 raise _HttpError(400, f"{name} must have shape {shape}, "
                                       f"got {value.shape}")
-            got[name] = value
+            got[name] = self._numeric(name, value)
         return got
+
+    @staticmethod
+    def _numeric(name: str, value) -> np.ndarray:
+        """``value`` as a finite bool/int/float array; 400 otherwise."""
+        value = np.asarray(value)
+        if value.dtype.kind not in "biuf":
+            raise _HttpError(400, f"{name} must be numeric, got {value.dtype}")
+        if not np.isfinite(value).all():
+            raise _HttpError(400, f"{name} holds NaN or Inf")
+        return value
 
 
 def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
@@ -400,8 +441,7 @@ def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
                 verify: bool = True, ready_file: str | Path | None = None) -> int:
     """Load an artifact and serve it until SIGTERM/SIGINT, then drain.
 
-    The synchronous entrypoint behind ``repro serve`` (and the
-    entrypoint the determinism shared-state map sweeps).  ``ready_file``,
+    The synchronous entrypoint behind ``repro serve``.  ``ready_file``,
     when given, receives ``"<host> <port>\\n"`` once the socket is bound —
     with ``port=0`` this is how callers learn the kernel-assigned port.
     Returns the process exit code (0 after a clean drain).

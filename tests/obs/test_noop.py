@@ -1,8 +1,11 @@
 """Disabled-mode guarantees: the instrumentation must cost nothing.
 
-Two load-bearing properties when no :class:`~repro.obs.Profiler` is
+Three load-bearing properties when no :class:`~repro.obs.Profiler` is
 installed (the default for every training run):
 
+* every ``scope()`` call returns the one shared do-nothing context
+  manager and the metric primitives register nothing, so the disabled
+  path allocates no per-call object and touches no registry;
 * the scope/metric primitives create **zero extra autodiff tape nodes**
   — instrumented hot paths record the exact same tape as uninstrumented
   code, so graphcheck invariants and tape-size budgets are unaffected;
@@ -15,7 +18,9 @@ import numpy as np
 
 from repro.nn import Tensor, trace
 from repro.obs import Profiler
-from repro.obs.scope import counter_add, gauge_set, histogram_observe, scope
+from repro.obs.scope import (
+    counter_add, gauge_set, histogram_observe, is_profiling, scope,
+)
 
 
 def _forward(with_scopes: bool) -> int:
@@ -35,6 +40,21 @@ def _forward(with_scopes: bool) -> int:
             out = (a @ b).relu().sum()
     out.backward()
     return len(tape)
+
+
+class TestDisabledPath:
+    def test_scopes_share_one_null_context_and_metrics_register_nothing(self):
+        with Profiler() as prof:
+            counter_add("live")
+            assert scope("a") is not scope("a")
+        assert not is_profiling()
+        before = prof.metrics.as_dict()
+        assert scope("a") is scope("b/c")
+        with scope("a"):
+            counter_add("off")
+            gauge_set("off", 1.0)
+            histogram_observe("off", 0.5)
+        assert prof.metrics.as_dict() == before
 
 
 class TestZeroTapeNodes:

@@ -86,6 +86,27 @@ def test_mixed_kinds_share_one_assembly(frozen_policy):
         r_uav.moves, r_uav.actions * frozen_policy.schema["uav_max_step"])
 
 
+def test_completed_counts_a_request_before_its_future_resolves(frozen_policy):
+    """A done-callback (run as the future resolves) already sees its own
+    request in ``stats["completed"]``, so a metrics read issued after a
+    response can never miss it."""
+    eng = InferenceEngine(frozen_policy, max_batch=8,
+                          timeout_ms=5000, autostart=False)
+    rng = np.random.default_rng(10)
+    seen = {"ugv": [], "uav": []}
+    for kind, payload in (("ugv", _ugv_payload(frozen_policy, rng)),
+                          ("ugv", _ugv_payload(frozen_policy, rng)),
+                          ("uav", _uav_payload(frozen_policy, rng))):
+        future = eng.submit(kind, payload, rng=rng)
+        future.add_done_callback(
+            lambda _f, kind=kind: seen[kind].append(eng.stats["completed"]))
+    eng.start()
+    eng.stop()
+    # The UGV group (2) is counted before either UGV future resolves;
+    # the UAV group's count (3) includes the UGV group before it.
+    assert seen == {"ugv": [2, 2], "uav": [3]}
+
+
 def test_expired_requests_time_out_without_a_forward(frozen_policy):
     eng = InferenceEngine(frozen_policy, max_batch=8,
                           timeout_ms=5000, autostart=False)

@@ -1,5 +1,5 @@
-"""Service front-end semantics: routing, schema 400s, overload, drain,
-many-connection load.
+"""Service front-end semantics: routing, schema 400s, a fuzzed request
+boundary, overload, drain, many-connection load.
 
 Most tests drive an in-process service on an ephemeral port through a
 plain ``http.client`` connection.  The SIGTERM drain drill and the
@@ -14,6 +14,7 @@ import json
 import http.client
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.serve.artifact import _probe_arrays
 from repro.serve.engine import InferenceEngine
@@ -191,6 +193,180 @@ def test_schema_mismatch_is_400(server, frozen_policy, session_id):
     # Malformed JSON is also a 400, not a 500.
     status, _ = _call(conn, "POST", "/v1/act", b"{not json")
     assert status == 400
+    conn.close()
+
+
+@pytest.mark.parametrize("body", [b"[1]", b'{"seed": null}',
+                                  b'{"seed": 1e400}', b'{"seed": -1}',
+                                  b'{"seed": 2.5}', b'{"seed": true}'])
+def test_bad_session_body_is_400(server, body):
+    conn = server.connection()
+    status, payload = _call(conn, "POST", "/v1/session", body)
+    conn.close()
+    assert status == 400, payload
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observation_is_400(server, frozen_policy, session_id,
+                                       bad):
+    payload = _ugv_json(frozen_policy, session_id)
+    payload["stop_features"][0][0][0] = bad  # a bare NaN/Infinity token
+    _, grids, aux = _probe_arrays(frozen_policy.schema)
+    grids[0, 0, 0, 0] = bad
+    conn = server.connection()
+    status, body = _call(conn, "POST", "/v1/act", json.dumps(payload).encode())
+    assert status == 400 and "NaN or Inf" in json.loads(body)["error"]
+    status, body = _call(conn, "POST", f"/v1/act?session={session_id}&kind=uav",
+                         _npz({"grids": grids, "aux": aux}),
+                         ctype="application/x-npz")
+    assert status == 400 and "NaN or Inf" in json.loads(body)["error"]
+    conn.close()
+
+
+@pytest.mark.parametrize("head, status", [
+    (b"POST /v1/session HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /v1/session HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    (b"POST /v1/session HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400),
+    (b"POST /v1/session HTTP/1.1\r\nContent-Length: 33554433\r\n\r\n", 413),
+    (b"GARBAGE\r\n\r\n", 400),
+], ids=["length-abc", "length-negative", "body-short", "body-too-large",
+        "request-line"])
+def test_unframeable_request_is_answered_then_closed(server, head, status):
+    """Over a raw socket whose write side then closes: the server answers
+    with an error status and closes, instead of dropping the connection."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(head)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert reply.startswith(b"HTTP/1.1 %d " % status), reply
+    assert b"Connection: close" in reply
+
+
+# ----------------------------------------------------------------------
+# Fuzzed boundary: every defective body is a 4xx
+# ----------------------------------------------------------------------
+
+_JSON_CT, _NPZ_CT = "application/json", "application/x-npz"
+_UGV_FIELDS = ("stop_features", "ugv_positions", "ugv_stops", "action_mask")
+_NON_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.text(max_size=4), st.lists(st.integers(),
+                                                       max_size=3))
+
+
+def _defective_requests(policy, session):
+    """Strategy over ``(path, body, content type)``: an act or session
+    request whose body has at least one defect."""
+    good = _ugv_json(policy, session)
+    _, grids, aux = _probe_arrays(policy.schema)
+    act, uav = "/v1/act", f"/v1/act?session={session}&kind=uav"
+
+    def ugv(field, value):
+        return act, json.dumps({**good, field: value}).encode(), _JSON_CT
+
+    def uav_npz(**arrays):
+        return uav, _npz({"grids": grids, "aux": aux, **arrays}), _NPZ_CT
+
+    def poke(value, index, bad):
+        flat = np.array(value, dtype=float).ravel()
+        flat[index % flat.size] = bad
+        return flat.reshape(np.shape(value))
+
+    fields = st.sampled_from(_UGV_FIELDS)
+    non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+    index = st.integers(0, 1 << 20)
+    good_json = json.dumps(good).encode()
+    good_npz = uav_npz()[1]
+    return st.one_of(
+        st.builds(lambda f, i, b: ugv(f, poke(good[f], i, b).tolist()),
+                  fields, index, non_finite),
+        st.builds(lambda f, k: ugv(f, np.ravel(good[f])[:k].tolist()),
+                  fields, st.integers(0, 3)),
+        st.builds(lambda f: ugv(f, [good[f]]), fields),
+        st.builds(lambda f, v: ugv(f, v), fields,
+                  st.one_of(st.text(max_size=4), st.dictionaries(
+                      st.text(max_size=2), st.integers(), max_size=2))),
+        st.builds(lambda f: (act, json.dumps(
+            {k: v for k, v in good.items() if k != f}).encode(), _JSON_CT),
+            fields),
+        st.builds(lambda kind: (act, json.dumps(
+            {**good, "kind": kind}).encode(), _JSON_CT),
+            st.text(max_size=4).filter(lambda k: k not in ("ugv", "uav"))),
+        _NON_OBJECTS.map(lambda v: (act, json.dumps(v).encode(), _JSON_CT)),
+        st.integers(0, len(good_json) - 1).map(
+            lambda n: (act, good_json[:n], _JSON_CT)),
+        st.integers(0, len(good_npz) - 1).map(
+            lambda n: (uav, good_npz[:n], _NPZ_CT)),
+        st.builds(lambda name, i, b: uav_npz(
+            **{name: poke({"grids": grids, "aux": aux}[name], i, b)}),
+            st.sampled_from(["grids", "aux"]), index, non_finite),
+        st.sampled_from([
+            uav_npz(grids=np.full(grids.shape, "x")),
+            uav_npz(grids=grids.astype(complex)),
+            uav_npz(aux=aux[:-1]),
+            uav_npz(grids=grids[..., :-1]),
+            (uav, _npz({"grids": grids}), _NPZ_CT),
+        ]),
+        st.binary(max_size=64).map(lambda b: (uav, b, _NPZ_CT)),
+        st.one_of(_NON_OBJECTS, st.fixed_dictionaries({"seed": st.one_of(
+            _NON_OBJECTS.filter(lambda v: type(v) is not int),
+            st.integers(max_value=-1), st.floats())})).map(
+            lambda v: ("/v1/session", json.dumps(v).encode(), _JSON_CT)),
+        st.integers(1, 10).map(
+            lambda n: ("/v1/session", b'{"seed": 12}'[:n], _JSON_CT)),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_session(server):
+    conn = server.connection()
+    status, body = _call(conn, "POST", "/v1/session", b'{"seed": 3}')
+    conn.close()
+    assert status == 200
+    return json.loads(body)["session"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_bad_requests_are_4xx(server, frozen_policy, fuzz_session,
+                                     data):
+    path, body, ctype = data.draw(_defective_requests(frozen_policy,
+                                                      fuzz_session))
+    conn = server.connection()
+    status, payload = _call(conn, "POST", path, body, ctype=ctype)
+    conn.close()
+    assert 400 <= status < 500, (status, payload)
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bad_request_leaves_other_streams_unchanged(server, frozen_policy,
+                                                    data):
+    """Sessions A and B alternate requests; a defective request on A in
+    between changes neither stream's sampled actions."""
+    conn = server.connection()
+
+    def actions(with_bad_request: bool):
+        sids = [json.loads(_call(conn, "POST", "/v1/session",
+                                 b'{"seed": %d}' % seed)[1])["session"]
+                for seed in (11, 12)]
+        out = []
+        for step in range(3):
+            for sid in sids:
+                status, body = _call(conn, "POST", "/v1/act", json.dumps(
+                    _ugv_json(frozen_policy, sid)).encode())
+                assert status == 200, body
+                out.append(json.loads(body)["actions"])
+            if with_bad_request and step == 1:
+                path, body, ctype = data.draw(
+                    _defective_requests(frozen_policy, sids[0]))
+                assert 400 <= _call(conn, "POST", path, body, ctype)[0] < 500
+        return out
+
+    control = actions(with_bad_request=False)
+    assert actions(with_bad_request=True) == control
     conn.close()
 
 
