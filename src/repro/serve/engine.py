@@ -15,7 +15,9 @@ The queue is bounded: :meth:`InferenceEngine.submit` raises
 maps this to a 429), which keeps latency bounded under overload instead
 of collapsing.  Every request carries an absolute deadline; requests
 that expire while queued are failed with :class:`TimeoutError` without
-spending a forward on them.
+spending a forward on them.  A request whose forward outputs are not
+finite (an observation too large for float64, say) is failed alone
+with :class:`NonFiniteOutput`; the rest of its batch is answered.
 
 Sampling happens inside the worker thread with the *per-session* rng the
 caller passed, so one scenario stream's action sequence depends only on
@@ -44,13 +46,19 @@ from ..env.observation import UGVObsArrays
 from ..obs.scope import counter_add, histogram_observe
 from .artifact import FrozenPolicy
 
-__all__ = ["EngineOverloaded", "InferenceEngine", "InferenceResult"]
+__all__ = ["EngineOverloaded", "InferenceEngine", "InferenceResult",
+           "NonFiniteOutput"]
 
 _STOP = object()
 
 
 class EngineOverloaded(RuntimeError):
     """The bounded request queue is full; the caller should shed load."""
+
+
+class NonFiniteOutput(ValueError):
+    """The forward gave this request NaN or Inf outputs (the service
+    answers 400: the observation, though finite, is out of range)."""
 
 
 @dataclass
@@ -70,6 +78,15 @@ class InferenceResult:
     values: np.ndarray
     moves: np.ndarray | None
     batch_size: int
+
+    def fields(self) -> dict:
+        """The reply's fields by name (``moves`` for UAV requests only)."""
+        out = {"kind": self.kind, "batch_size": self.batch_size,
+               "actions": self.actions, "log_probs": self.log_probs,
+               "values": self.values}
+        if self.moves is not None:
+            out["moves"] = self.moves
+        return out
 
 
 @dataclass
@@ -221,17 +238,24 @@ class InferenceEngine:
             if not group:
                 continue
             try:
-                results = runner(group)
+                # Overflow in a hostile request's forward is caught per
+                # request below; it need not reach the server log.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    results = runner(group)
             except BaseException as exc:  # fail the group, keep serving
                 for request in group:
                     _resolve(request.future, exc=exc)
                 continue
             # Count before resolving: a caller woken by its future (and
             # any /v1/metrics read after its response) sees itself counted.
-            self.stats["completed"] += len(group)
-            counter_add("serve/completed", len(group))
+            done = sum(isinstance(r, InferenceResult) for r in results)
+            self.stats["completed"] += done
+            counter_add("serve/completed", done)
             for request, result in zip(group, results):
-                _resolve(request.future, result)
+                if isinstance(result, NonFiniteOutput):
+                    _resolve(request.future, exc=result)
+                else:
+                    _resolve(request.future, result)
         latency_ms = (time.perf_counter() - live[0].enqueued) * 1e3
         histogram_observe("serve/oldest_latency_ms", latency_ms)
 
@@ -243,7 +267,8 @@ class InferenceEngine:
         finally:
             self.stats["forward_ms"] += (time.perf_counter() - start) * 1e3
 
-    def _run_ugv(self, group: list[_Request]) -> list[InferenceResult]:
+    def _run_ugv(self, group: list[_Request]
+                 ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_batched`` over the group's stacked replicas."""
         obs = UGVObsArrays(
             stop_features=np.stack([r.arrays[0] for r in group]),
@@ -256,8 +281,14 @@ class InferenceEngine:
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs_all = shifted - np.log(
             np.exp(shifted).sum(axis=-1, keepdims=True))
+        finite = (np.isfinite(log_probs_all).all(axis=(1, 2))
+                  & np.isfinite(values).all(axis=1))
         results = []
         for i, request in enumerate(group):
+            if not finite[i]:  # checked before its rng draws anything
+                results.append(NonFiniteOutput(
+                    "UGV forward gave non-finite log-probs or values"))
+                continue
             row_logp = log_probs_all[i]  # (U, B+1)
             if request.rng is None:
                 actions = row_logp.argmax(axis=-1)
@@ -273,7 +304,8 @@ class InferenceEngine:
                 values=values[i], moves=None, batch_size=len(group)))
         return results
 
-    def _run_uav(self, group: list[_Request]) -> list[InferenceResult]:
+    def _run_uav(self, group: list[_Request]
+                 ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_arrays`` over the group's concatenated crops."""
         sizes = [r.arrays[0].shape[0] for r in group]
         grids = np.concatenate([r.arrays[0] for r in group])
@@ -282,9 +314,15 @@ class InferenceEngine:
                                               grids, aux)
         std = np.exp(log_std)
         max_step = float(self.policy.schema["uav_max_step"])
+        finite = np.isfinite(mean).all(axis=1) & np.isfinite(values)
         results = []
         offset = 0
         for request, n in zip(group, sizes):
+            if not finite[offset:offset + n].all():
+                results.append(NonFiniteOutput(
+                    "UAV forward gave non-finite means or values"))
+                offset += n
+                continue
             m = mean[offset:offset + n]
             if request.rng is None:
                 actions = m.copy()

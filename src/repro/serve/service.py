@@ -10,8 +10,8 @@ Endpoints (all JSON unless noted):
 * ``GET /healthz`` — ``{"status": "ok" | "draining"}``.
 * ``GET /v1/artifact`` — the artifact manifest.
 * ``GET /v1/metrics`` — engine counters (including the cumulative
-  ``queue_wait_ms`` and ``forward_ms`` stage times) plus the live
-  metrics registry.
+  stage times ``decode_ms``, ``queue_wait_ms``, ``forward_ms`` and
+  ``encode_ms``) plus the live metrics registry.
 * ``POST /v1/session`` — ``{"seed": int}`` ⇒ ``{"session": id}``; every
   scenario stream owns a session whose rng makes its action sampling
   depend only on its own seed and request order.
@@ -21,7 +21,7 @@ Endpoints (all JSON unless noted):
   nested lists>}``) or, for high-throughput clients, an ``.npz`` body
   (``Content-Type: application/x-npz``, observation arrays by name) with
   session/kind/greedy passed as query parameters; the response mirrors
-  the request encoding.
+  the request encoding.  :mod:`repro.serve.wire` is the npz codec.
 
 Failure semantics (the SLO contract, see ``docs/serving.md``):
 
@@ -29,7 +29,10 @@ Failure semantics (the SLO contract, see ``docs/serving.md``):
   (never reaches the engine); a broken request line or
   ``Content-Length``, or a body cut short of it, → **400** and the
   connection closes;
-* body over 32 MiB → **413** and the connection closes;
+* an observation whose forward gives NaN or Inf outputs → **400** (the
+  rest of its batch is answered);
+* body over 32 MiB → **413** and the connection closes; an npz body
+  whose members declare over 32 MiB decoded → **413**;
 * unknown session → **404**;
 * bounded queue full → **429** ``{"error": "overloaded", ...}`` — load is
   shed instead of queueing without bound;
@@ -41,9 +44,9 @@ Failure semantics (the SLO contract, see ``docs/serving.md``):
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import signal
+import time
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -51,7 +54,8 @@ import numpy as np
 
 from ..obs.scope import active_profiler
 from .artifact import FrozenPolicy, load_artifact
-from .engine import EngineOverloaded, InferenceEngine
+from .engine import EngineOverloaded, InferenceEngine, NonFiniteOutput
+from .wire import MAX_BYTES, NpzError, decode_npz, encode_npz
 
 __all__ = ["DispatchService", "run_service"]
 
@@ -62,8 +66,6 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 413: "Payload Too Large",
                 429: "Too Many Requests", 500: "Internal Server Error",
                 503: "Service Unavailable", 504: "Gateway Timeout"}
-
-_MAX_BODY = 32 * 1024 * 1024
 
 
 class _HttpError(Exception):
@@ -100,6 +102,9 @@ class DispatchService:
         self.drain_timeout_s = float(drain_timeout_s)
         self.schema = policy.schema
         self.sessions: dict[str, _Session] = {}
+        # Cumulative /v1/act stage times: body -> validated arrays for
+        # each request submitted, result -> reply bytes for each answered.
+        self.stats = {"decode_ms": 0.0, "encode_ms": 0.0}
         self.draining = False
         self._session_counter = 0
         self._inflight = 0
@@ -204,8 +209,8 @@ class DispatchService:
         length = headers.get("content-length", "0") or "0"
         if not (length.isascii() and length.isdigit()):
             raise _HttpError(400, f"bad Content-Length {length!r}")
-        if int(length) > _MAX_BODY:
-            raise _HttpError(413, f"body over {_MAX_BODY} bytes")
+        if int(length) > MAX_BYTES:
+            raise _HttpError(413, f"body over {MAX_BYTES} bytes")
         try:
             body = await reader.readexactly(int(length))
         except asyncio.IncompleteReadError:
@@ -256,7 +261,7 @@ class DispatchService:
     def _metrics(self) -> dict:
         prof = active_profiler()
         return {
-            "engine": dict(self.engine.stats),
+            "engine": {**self.engine.stats, **self.stats},
             "sessions": len(self.sessions),
             "inflight": self._inflight,
             "draining": self.draining,
@@ -293,6 +298,7 @@ class DispatchService:
         if self.draining:
             raise _HttpError(503, "draining; not accepting new requests")
         ctype = headers.get("content-type", _JSON).split(";")[0].strip()
+        start = time.perf_counter()
         if ctype == _NPZ:
             meta, arrays = self._parse_npz(query, body)
         else:
@@ -302,6 +308,7 @@ class DispatchService:
             raise _HttpError(404, f"unknown session {meta['session']!r}")
         kind = meta["kind"]
         payload = self._validate(kind, arrays)
+        self.stats["decode_ms"] += (time.perf_counter() - start) * 1e3
         session.requests += 1
         try:
             future = self.engine.submit(kind, payload, rng=session.rng,
@@ -319,22 +326,22 @@ class DispatchService:
             raise _HttpError(504, "request deadline exceeded") from None
         except asyncio.TimeoutError:
             raise _HttpError(504, "request deadline exceeded") from None
+        except NonFiniteOutput as exc:
+            raise _HttpError(400, str(exc)) from None
         finally:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
-        out = {"kind": result.kind, "batch_size": result.batch_size,
-               "actions": result.actions, "log_probs": result.log_probs,
-               "values": result.values}
-        if result.moves is not None:
-            out["moves"] = result.moves
+        start = time.perf_counter()
+        out = result.fields()
         if ctype == _NPZ:
-            buf = io.BytesIO()
-            np.savez(buf, **{k: np.asarray(v) for k, v in out.items()})
-            return 200, _NPZ, buf.getvalue()
-        return 200, _JSON, self._json(
-            {k: v.tolist() if isinstance(v, np.ndarray) else v
-             for k, v in out.items()})
+            reply = encode_npz(out)
+        else:
+            ctype, reply = _JSON, self._json(
+                {k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in out.items()})
+        self.stats["encode_ms"] += (time.perf_counter() - start) * 1e3
+        return 200, ctype, reply
 
     # -- payload decoding / schema validation ---------------------------
     @staticmethod
@@ -366,13 +373,9 @@ class DispatchService:
                 "kind": params.get("kind", ["ugv"])[0],
                 "greedy": params.get("greedy", ["0"])[0] in ("1", "true")}
         try:
-            with np.load(io.BytesIO(body), allow_pickle=False) as data:
-                arrays = {key: data[key] for key in data.files}
-        except Exception as exc:  # noqa: BLE001 — untrusted bytes: where
-            # they break decides the error (EOFError, BadZipFile, zlib.error,
-            # tokenize.TokenError, ValueError, TypeError for a bare .npy, ...).
-            raise _HttpError(400, f"bad npz body: {type(exc).__name__}: "
-                                  f"{exc}") from None
+            arrays = decode_npz(body)
+        except NpzError as exc:
+            raise _HttpError(exc.status, f"bad npz body: {exc}") from None
         return meta, arrays
 
     def _validate(self, kind: str, arrays: dict) -> tuple:

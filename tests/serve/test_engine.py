@@ -1,17 +1,19 @@
 """Micro-batcher semantics: no hold, coalesce, deadline, shed, drain,
-stage accounting."""
+non-finite outputs, stage accounting."""
 
 from __future__ import annotations
 
 import statistics
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.serve import engine as engine_module
 from repro.serve.artifact import _probe_arrays
-from repro.serve.engine import EngineOverloaded, InferenceEngine
+from repro.serve.engine import (EngineOverloaded, InferenceEngine,
+                                NonFiniteOutput)
 
 
 def _ugv_payload(policy, rng):
@@ -182,6 +184,75 @@ def test_greedy_matches_argmax(frozen_policy, engine):
                           payload[2][None], payload[3][None])
     logits, _ = frozen_policy.ugv_forward(single)
     np.testing.assert_array_equal(result.actions, logits[0].argmax(axis=-1))
+
+
+def _serve_staged(policy, kind, payloads):
+    """Stage ``payloads`` as one batch (each with a seed-12 rng), run it
+    with every warning turned into an error, and return the engine and
+    the futures."""
+    eng = InferenceEngine(policy, max_batch=8, timeout_ms=5000,
+                          autostart=False)
+    futures = [eng.submit(kind, payload, rng=np.random.default_rng(12))
+               for payload in payloads]
+    with warnings.catch_warnings():
+        # A RuntimeWarning in the worker would fail the whole group.
+        warnings.simplefilter("error")
+        eng.start()
+        eng.stop()
+    return eng, futures
+
+
+def _assert_bitwise(got, want):
+    for field in ("actions", "log_probs", "values", "moves"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
+
+
+def test_huge_observation_fails_only_its_own_request(frozen_policy):
+    """A finite but huge observation overflows the UGV forward to NaN:
+    that request fails with NonFiniteOutput, without a RuntimeWarning,
+    and a normal request in the same batch gets bitwise the outputs it
+    gets alone."""
+    normal = _ugv_payload(frozen_policy, np.random.default_rng(11))
+    huge = (normal[0] * 1e200,) + normal[1:]
+    _, (alone,) = _serve_staged(frozen_policy, "ugv", [normal])
+    eng, (bad, good) = _serve_staged(frozen_policy, "ugv", [huge, normal])
+    with pytest.raises(NonFiniteOutput):
+        bad.result(timeout=5)
+    assert good.result(timeout=5).batch_size == 2
+    _assert_bitwise(good.result(), alone.result())
+    assert eng.stats["completed"] == 1
+
+
+class _NaNOnHugeCrops:
+    """Delegates to a frozen policy, but its UAV forward gives NaN means
+    for crops with a value over 1e100."""
+
+    def __init__(self, policy):
+        self._policy = policy
+
+    def __getattr__(self, name):
+        return getattr(self._policy, name)
+
+    def uav_forward(self, grids, aux):
+        mean, log_std, values = self._policy.uav_forward(grids, aux)
+        huge = np.abs(grids).max(axis=(1, 2, 3)) > 1e100
+        return np.where(huge[:, None], np.nan, mean), log_std, values
+
+
+def test_non_finite_uav_output_fails_only_its_own_request(frozen_policy):
+    """The same for the UAV path.  Its forward's floats move with the
+    number of rows in the batch (docs/serving.md), so the control batch
+    has the same rows with a normal twin in place of the huge crops."""
+    policy = _NaNOnHugeCrops(frozen_policy)
+    normal = _uav_payload(frozen_policy, np.random.default_rng(13))
+    huge = (normal[0] * 1e200, normal[1])
+    _, (control, _) = _serve_staged(policy, "uav", [normal, normal])
+    eng, (good, bad) = _serve_staged(policy, "uav", [normal, huge])
+    with pytest.raises(NonFiniteOutput):
+        bad.result(timeout=5)
+    _assert_bitwise(good.result(timeout=5), control.result())
+    assert eng.stats["completed"] == 1
 
 
 class _SteppedClock:

@@ -25,10 +25,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.serve import service as service_module
 from repro.serve.artifact import _probe_arrays
 from repro.serve.engine import InferenceEngine
 from repro.serve.loadgen import build_observation_pool, run_load
 from repro.serve.service import DispatchService
+
+from .test_wire import _with_dims
 
 SERVE_TESTS = Path(__file__).resolve().parent
 REPO_SRC = SERVE_TESTS.parents[1] / "src"
@@ -82,9 +85,9 @@ def _call(conn, method, path, body=None, ctype="application/json"):
     return resp.status, payload
 
 
-def _npz(arrays: dict) -> bytes:
+def _npz(arrays: dict, compressed: bool = False) -> bytes:
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    (np.savez_compressed if compressed else np.savez)(buf, **arrays)
     return buf.getvalue()
 
 
@@ -106,15 +109,19 @@ def session_id(server):
     return json.loads(body)["session"]
 
 
-def _ugv_json(policy, session, greedy=False):
+def _ugv_arrays(policy) -> dict:
     obs, _, _ = _probe_arrays(policy.schema)
-    return {
-        "session": session, "kind": "ugv", "greedy": greedy,
-        "stop_features": obs.stop_features[0].tolist(),
-        "ugv_positions": obs.ugv_positions[0].tolist(),
-        "ugv_stops": obs.ugv_stops[0].tolist(),
-        "action_mask": obs.action_mask[0].astype(int).tolist(),
-    }
+    return {"stop_features": obs.stop_features[0],
+            "ugv_positions": obs.ugv_positions[0],
+            "ugv_stops": obs.ugv_stops[0],
+            "action_mask": obs.action_mask[0]}
+
+
+def _ugv_json(policy, session, greedy=False):
+    arrays = _ugv_arrays(policy)
+    arrays["action_mask"] = arrays["action_mask"].astype(int)
+    return {"session": session, "kind": "ugv", "greedy": greedy,
+            **{key: value.tolist() for key, value in arrays.items()}}
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +149,63 @@ def test_metrics_export_engine_stage_times(server, frozen_policy, session_id):
     status, body = _call(conn, "GET", "/v1/metrics")
     conn.close()
     engine = json.loads(body)["engine"]
-    # Both are written before the request's future resolves.
-    assert engine["queue_wait_ms"] > 0.0
-    assert engine["forward_ms"] > 0.0
+    # The engine's two are written before the request's future resolves;
+    # the service's two before its response is written.
+    for stage in ("decode_ms", "queue_wait_ms", "forward_ms", "encode_ms"):
+        assert engine[stage] > 0.0, stage
+
+
+class _SteppedClock:
+    """Stands in for the service's ``time`` module: the clock moves only
+    when a patched codec call advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+def test_codec_stage_accounting_on_a_stepped_clock(frozen_policy,
+                                                   monkeypatch):
+    """Each answered npz request adds its decode (body -> validated
+    arrays) to ``decode_ms`` and its encode (result -> reply bytes) to
+    ``encode_ms``; a request refused at validation adds to neither."""
+    clock = _SteppedClock()
+    decode, encode = service_module.decode_npz, service_module.encode_npz
+
+    def slow_decode(body):
+        clock.now += 0.25
+        return decode(body)
+
+    def slow_encode(arrays):
+        clock.now += 0.125
+        return encode(arrays)
+
+    monkeypatch.setattr(service_module, "time", clock)
+    monkeypatch.setattr(service_module, "decode_npz", slow_decode)
+    monkeypatch.setattr(service_module, "encode_npz", slow_encode)
+    srv = _Server(frozen_policy, max_batch=8, timeout_ms=5000)
+    try:
+        conn = srv.connection()
+        sid = json.loads(_call(conn, "POST", "/v1/session", b"{}")[1])[
+            "session"]
+        _, grids, aux = _probe_arrays(frozen_policy.schema)
+        requests = [("ugv", _npz(_ugv_arrays(frozen_policy)), 200),
+                    ("uav", _npz({"grids": grids, "aux": aux}), 200),
+                    ("uav", _npz({"grids": grids}), 400),
+                    ("uav", _npz({"grids": grids, "aux": aux}), 200)]
+        for kind, body, want in requests:
+            status, reply = _call(conn, "POST",
+                                  f"/v1/act?session={sid}&kind={kind}",
+                                  body, ctype="application/x-npz")
+            assert status == want, reply
+        engine = json.loads(_call(conn, "GET", "/v1/metrics")[1])["engine"]
+        conn.close()
+    finally:
+        srv.stop()
+    assert engine["decode_ms"] == 3 * 250.0
+    assert engine["encode_ms"] == 3 * 125.0
 
 
 def test_act_json_roundtrip(server, frozen_policy, session_id):
@@ -158,6 +219,44 @@ def test_act_json_roundtrip(server, frozen_policy, session_id):
     assert len(blob["actions"]) == num_ugvs
     assert all(0 <= a < num_actions for a in blob["actions"])
     assert len(blob["values"]) == num_ugvs
+    conn.close()
+
+
+@pytest.mark.parametrize("kind", ["ugv", "uav"])
+def test_compressed_npz_gets_the_same_decision(server, frozen_policy, kind):
+    """A savez_compressed body gets the decision its savez twin gets, on
+    sessions seeded alike."""
+    _, grids, aux = _probe_arrays(frozen_policy.schema)
+    arrays = (_ugv_arrays(frozen_policy) if kind == "ugv"
+              else {"grids": grids, "aux": aux})
+    conn = server.connection()
+    replies = []
+    for compressed in (False, True):
+        sid = json.loads(_call(conn, "POST", "/v1/session",
+                               b'{"seed": 21}')[1])["session"]
+        for _ in range(3):
+            status, body = _call(conn, "POST",
+                                 f"/v1/act?session={sid}&kind={kind}",
+                                 _npz(arrays, compressed),
+                                 ctype="application/x-npz")
+            assert status == 200, body
+            replies.append(body)
+    conn.close()
+    assert replies[:3] == replies[3:]
+
+
+def test_huge_observation_is_400(server, frozen_policy, session_id):
+    """Finite but huge observations pass the schema check; the NaN their
+    forward gives is answered 400, not sent back in a 200."""
+    payload = _ugv_json(frozen_policy, session_id)
+    payload["stop_features"] = (np.asarray(payload["stop_features"])
+                                * 1e200).tolist()
+    conn = server.connection()
+    status, body = _call(conn, "POST", "/v1/act", json.dumps(payload).encode())
+    assert status == 400 and "non-finite" in json.loads(body)["error"]
+    status, _ = _call(conn, "POST", "/v1/act",
+                      json.dumps(_ugv_json(frozen_policy, session_id)).encode())
+    assert status == 200
     conn.close()
 
 
@@ -255,17 +354,31 @@ _NON_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(),
 
 
 def _defective_requests(policy, session):
-    """Strategy over ``(path, body, content type)``: an act or session
-    request whose body has at least one defect."""
+    """Strategy over ``(path, body, content type, may succeed)``: an act
+    or session request whose body has at least one defect, or (``may
+    succeed``) a valid npz body with one byte flipped, which the server
+    may still decode."""
     good = _ugv_json(policy, session)
     _, grids, aux = _probe_arrays(policy.schema)
     act, uav = "/v1/act", f"/v1/act?session={session}&kind=uav"
+    ugv_npz = (f"/v1/act?session={session}&kind=ugv",
+               _npz(_ugv_arrays(policy)), _NPZ_CT)
 
     def ugv(field, value):
         return act, json.dumps({**good, field: value}).encode(), _JSON_CT
 
     def uav_npz(**arrays):
         return uav, _npz({"grids": grids, "aux": aux, **arrays}), _NPZ_CT
+
+    def flip(request, index, xor):
+        path, body, ctype = request
+        index %= len(body)
+        return (path, body[:index] + bytes([body[index] ^ xor])
+                + body[index + 1:], ctype)
+
+    def truncate(request, index):
+        path, body, ctype = request
+        return path, body[:index % len(body)], ctype
 
     def poke(value, index, bad):
         flat = np.array(value, dtype=float).ravel()
@@ -276,8 +389,8 @@ def _defective_requests(policy, session):
     non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
     index = st.integers(0, 1 << 20)
     good_json = json.dumps(good).encode()
-    good_npz = uav_npz()[1]
-    return st.one_of(
+    good_npz = st.sampled_from([ugv_npz, uav_npz()])
+    defects = st.one_of(
         st.builds(lambda f, i, b: ugv(f, poke(good[f], i, b).tolist()),
                   fields, index, non_finite),
         st.builds(lambda f, k: ugv(f, np.ravel(good[f])[:k].tolist()),
@@ -295,8 +408,7 @@ def _defective_requests(policy, session):
         _NON_OBJECTS.map(lambda v: (act, json.dumps(v).encode(), _JSON_CT)),
         st.integers(0, len(good_json) - 1).map(
             lambda n: (act, good_json[:n], _JSON_CT)),
-        st.integers(0, len(good_npz) - 1).map(
-            lambda n: (uav, good_npz[:n], _NPZ_CT)),
+        st.builds(truncate, good_npz, index),
         st.builds(lambda name, i, b: uav_npz(
             **{name: poke({"grids": grids, "aux": aux}[name], i, b)}),
             st.sampled_from(["grids", "aux"]), index, non_finite),
@@ -306,6 +418,10 @@ def _defective_requests(policy, session):
             uav_npz(aux=aux[:-1]),
             uav_npz(grids=grids[..., :-1]),
             (uav, _npz({"grids": grids}), _NPZ_CT),
+            # Headers over numpy's bounds: a dim int() refuses to parse,
+            # and a 430 KB v2.0 header of 100 such dims.
+            (uav, _with_dims(["1" * 4301]), _NPZ_CT),
+            (uav, _with_dims(["9" * 4301] * 100, version=2), _NPZ_CT),
         ]),
         st.binary(max_size=64).map(lambda b: (uav, b, _NPZ_CT)),
         st.one_of(_NON_OBJECTS, st.fixed_dictionaries({"seed": st.one_of(
@@ -315,6 +431,9 @@ def _defective_requests(policy, session):
         st.integers(1, 10).map(
             lambda n: ("/v1/session", b'{"seed": 12}'[:n], _JSON_CT)),
     )
+    flipped = st.builds(flip, good_npz, index, st.integers(1, 255))
+    return st.one_of(defects.map(lambda request: (*request, False)),
+                     flipped.map(lambda request: (*request, True)))
 
 
 @pytest.fixture(scope="module")
@@ -331,12 +450,13 @@ def fuzz_session(server):
 @given(data=st.data())
 def test_fuzzed_bad_requests_are_4xx(server, frozen_policy, fuzz_session,
                                      data):
-    path, body, ctype = data.draw(_defective_requests(frozen_policy,
-                                                      fuzz_session))
+    path, body, ctype, may_succeed = data.draw(
+        _defective_requests(frozen_policy, fuzz_session))
     conn = server.connection()
     status, payload = _call(conn, "POST", path, body, ctype=ctype)
     conn.close()
-    assert 400 <= status < 500, (status, payload)
+    assert 400 <= status < 500 or (may_succeed and status == 200), \
+        (status, payload)
 
 
 @settings(max_examples=8, deadline=None,
@@ -360,8 +480,10 @@ def test_bad_request_leaves_other_streams_unchanged(server, frozen_policy,
                 assert status == 200, body
                 out.append(json.loads(body)["actions"])
             if with_bad_request and step == 1:
-                path, body, ctype = data.draw(
-                    _defective_requests(frozen_policy, sids[0]))
+                # A flipped body that still decodes would draw from A's rng.
+                path, body, ctype, _ = data.draw(
+                    _defective_requests(frozen_policy, sids[0])
+                    .filter(lambda request: not request[3]))
                 assert 400 <= _call(conn, "POST", path, body, ctype)[0] < 500
         return out
 
