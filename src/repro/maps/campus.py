@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .geometry import Polygon, point_segment_distance, rectangle, regular_polygon
+from .geometry import Polygon, rectangle, regular_polygon, segment_distances
 from .roads import grid_network, irregular_network
 
 __all__ = ["CampusMap", "build_kaist", "build_ucla", "build_campus",
@@ -63,6 +63,7 @@ class CampusMap:
     sensor_positions: np.ndarray
     sensor_buildings: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     _boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    _segments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # (n_buildings, 4) [min_x, min_y, max_x, max_y] footprint boxes for
@@ -70,6 +71,8 @@ class CampusMap:
         self._boxes = np.array([[b.bbox.min_x, b.bbox.min_y, b.bbox.max_x,
                                  b.bbox.max_y] for b in self.buildings],
                                dtype=float).reshape(-1, 4)
+        # (n_edges, 4) [ax, ay, bx, by] road segments for distance_to_road.
+        self._segments = _road_segments(self.roads)
 
     @property
     def num_sensors(self) -> int:
@@ -108,20 +111,26 @@ class CampusMap:
 
     def road_edges(self):
         """Yield road edges as coordinate pairs."""
-        for u, v in self.roads.edges():
-            yield (np.asarray(self.roads.nodes[u]["pos"]),
-                   np.asarray(self.roads.nodes[v]["pos"]))
+        for segment in self._segments:
+            yield segment[:2], segment[2:]
 
     def distance_to_road(self, point) -> float:
         """Distance from ``point`` to the nearest road segment."""
-        return min(point_segment_distance(point, a, b) for a, b in self.road_edges())
+        return float(segment_distances(point, self._segments).min())
+
+
+def _road_segments(roads: nx.Graph) -> np.ndarray:
+    """``(E, 4)`` ``[ax, ay, bx, by]`` rows, one per road edge in edge order."""
+    return np.array([(*roads.nodes[u]["pos"], *roads.nodes[v]["pos"])
+                     for u, v in roads.edges()], dtype=float).reshape(-1, 4)
 
 
 def _place_buildings(rng: np.random.Generator, count: int, width: float, height: float,
-                     road_edges: list[tuple[np.ndarray, np.ndarray]],
+                     roads: nx.Graph,
                      keep_region=None, min_side: float = 25.0, max_side: float = 70.0,
                      road_margin: float = 18.0, max_attempts: int = 20000) -> list[Polygon]:
     """Scatter non-overlapping building footprints off the roads."""
+    road_segments = _road_segments(roads)
     buildings: list[Polygon] = []
     centers: list[np.ndarray] = []
     attempts = 0
@@ -132,7 +141,7 @@ def _place_buildings(rng: np.random.Generator, count: int, width: float, height:
         if keep_region is not None and not keep_region(cx, cy):
             continue
         # Keep footprints clear of roads so UGVs never drive "through" one.
-        near_road = min(point_segment_distance((cx, cy), a, b) for a, b in road_edges)
+        near_road = segment_distances((cx, cy), road_segments).min()
         if near_road < road_margin + max_side / 2.0:
             continue
         size = rng.uniform(min_side, max_side)
@@ -176,9 +185,7 @@ def build_kaist(seed: int = 7) -> CampusMap:
     rng = np.random.default_rng(seed)
     roads = grid_network(KAIST_WIDTH, KAIST_HEIGHT, rows=6, cols=6,
                          jitter=30.0, rng=rng, drop_prob=0.08)
-    edges = [(np.asarray(roads.nodes[u]["pos"]), np.asarray(roads.nodes[v]["pos"]))
-             for u, v in roads.edges()]
-    buildings = _place_buildings(rng, KAIST_BUILDINGS, KAIST_WIDTH, KAIST_HEIGHT, edges,
+    buildings = _place_buildings(rng, KAIST_BUILDINGS, KAIST_WIDTH, KAIST_HEIGHT, roads,
                                  min_side=20.0, max_side=55.0, road_margin=12.0)
     sensors, hosts = _place_sensors(rng, buildings, KAIST_SENSORS)
     return CampusMap("kaist", KAIST_WIDTH, KAIST_HEIGHT, roads, buildings, sensors, hosts)
@@ -212,8 +219,6 @@ def build_ucla(seed: int = 11) -> CampusMap:
     roads = irregular_network(width, height, junctions=60, rng=rng,
                               connect_radius=310.0, keep_region=keep_region,
                               corridor_edges=corridor)
-    edges = [(np.asarray(roads.nodes[u]["pos"]), np.asarray(roads.nodes[v]["pos"]))
-             for u, v in roads.edges()]
 
     def building_region(x: float, y: float) -> bool:
         # Buildings (and hence data) avoid the lawn and the thin corridor,
@@ -224,7 +229,7 @@ def build_ucla(seed: int = 11) -> CampusMap:
             return False
         return True
 
-    buildings = _place_buildings(rng, UCLA_BUILDINGS, width, height, edges,
+    buildings = _place_buildings(rng, UCLA_BUILDINGS, width, height, roads,
                                  keep_region=building_region,
                                  min_side=18.0, max_side=48.0, road_margin=10.0)
     sensors, hosts = _place_sensors(rng, buildings, UCLA_SENSORS)
@@ -264,11 +269,9 @@ def _scaled_campus(campus: CampusMap, scale: float, seed: int) -> CampusMap:
         roads = irregular_network(width, height, junctions=18, rng=rng,
                                   connect_radius=0.35 * max(width, height), keep_region=keep,
                                   corridor_edges=[((band_lo - 5, corridor_y), (band_hi + 5, corridor_y))])
-    edges = [(np.asarray(roads.nodes[u]["pos"]), np.asarray(roads.nodes[v]["pos"]))
-             for u, v in roads.edges()]
     n_buildings = max(4, int(campus.num_buildings * scale * scale))
     n_sensors = max(6, int(campus.num_sensors * scale * scale))
-    buildings = _place_buildings(rng, n_buildings, width, height, edges,
+    buildings = _place_buildings(rng, n_buildings, width, height, roads,
                                  min_side=12.0, max_side=30.0, road_margin=8.0)
     sensors, hosts = _place_sensors(rng, buildings, n_sensors)
     return CampusMap(campus.name, width, height, roads, buildings, sensors, hosts)
@@ -305,10 +308,8 @@ def random_campus(name: str = "custom", width: float = 800.0, height: float = 80
                                   connect_radius=0.35 * max(width, height))
     else:
         raise ValueError(f"unknown road_style {road_style!r}")
-    edges = [(np.asarray(roads.nodes[u]["pos"]), np.asarray(roads.nodes[v]["pos"]))
-             for u, v in roads.edges()]
     side_scale = min(width, height) / 400.0
-    footprints = _place_buildings(rng, buildings, width, height, edges,
+    footprints = _place_buildings(rng, buildings, width, height, roads,
                                   min_side=max(10.0, 18.0 * side_scale),
                                   max_side=max(20.0, 45.0 * side_scale),
                                   road_margin=max(6.0, 10.0 * side_scale))

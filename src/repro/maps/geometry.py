@@ -17,6 +17,7 @@ __all__ = [
     "euclidean",
     "segments_intersect",
     "point_segment_distance",
+    "segment_distances",
     "rectangle",
     "regular_polygon",
 ]
@@ -74,6 +75,28 @@ def point_segment_distance(point, seg_a, seg_b) -> float:
     t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
     closest = a + t * ab
     return euclidean(p, closest)
+
+
+def segment_distances(point, segments: np.ndarray) -> np.ndarray:
+    """Distance from ``point`` to each ``[ax, ay, bx, by]`` row of ``segments``.
+
+    One numpy pass with :func:`point_segment_distance`'s arithmetic, bit
+    for bit: the clipped projection, then ``hypot``.  Both dot products
+    are stacked ``(1, 2) @ (2, 1)`` matmuls, which numpy runs through the
+    same ``dot`` kernel as the scalar ``ab @ ab`` (BLAS ``ddot`` may fuse
+    the multiply-add, so a plain ``x0*y0 + x1*y1`` can differ in the last
+    bit).  A degenerate segment measures to its first end, as there.
+    """
+    p = np.asarray(point, dtype=float)
+    a = segments[:, :2]
+    ab = segments[:, 2:] - a
+    denom = np.matmul(ab[:, None, :], ab[:, :, None])[:, 0, 0]
+    along = np.matmul((p - a)[:, None, :], ab[:, :, None])[:, 0, 0]
+    degenerate = denom < 1e-18
+    t = np.clip(along / np.where(degenerate, 1.0, denom), 0.0, 1.0)
+    t[degenerate] = 0.0
+    closest = a + t[:, None] * ab
+    return np.hypot(p[0] - closest[:, 0], p[1] - closest[:, 1])
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .campus import CampusMap
 
@@ -52,15 +50,16 @@ class StopGraph:
     def hop_distances(self) -> np.ndarray:
         """All-pairs shortest-path distances in hops (cached)."""
         if self._hops is None:
-            sparse = csr_matrix(self.adjacency_matrix())
-            self._hops = dijkstra(sparse, unweighted=True, directed=False)
+            self._hops = _all_pairs_dijkstra(
+                self.num_stops, [(u, v, 1.0) for u, v in self.graph.edges()])
         return self._hops
 
     def metre_distances(self) -> np.ndarray:
         """All-pairs shortest-path distances in metres along roads (cached)."""
         if self._metres is None:
-            weighted = nx.to_numpy_array(self.graph, nodelist=range(self.num_stops), weight="length")
-            self._metres = dijkstra(csr_matrix(weighted), directed=False)
+            self._metres = _all_pairs_dijkstra(
+                self.num_stops, [(u, v, data.get("length", 1.0))
+                                 for u, v, data in self.graph.edges(data=True)])
         return self._metres
 
     def structural_correlation(self, q: float, weighted: bool = False) -> np.ndarray:
@@ -96,6 +95,50 @@ class StopGraph:
 
     def path_length(self, a: int, b: int) -> float:
         return float(self.metre_distances()[a, b])
+
+
+def _all_pairs_dijkstra(num_nodes: int,
+                        edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """``(n, n)`` shortest-path lengths over undirected weighted ``edges``.
+
+    Row ``s`` runs Dijkstra from source ``s``, and all rows step together:
+    each step settles, in every row, the unsettled node nearest the
+    source, then relaxes that node's neighbour list (padded to the
+    largest degree with infinite weights).  A distance is the sum
+    ``d(u) + w(u, v)`` taken along the path from the source, as
+    ``scipy.sparse.csgraph.dijkstra`` sums it, so the result is its bytes.
+    Unreachable pairs are ``inf``.  (A zero-length edge joins its ends at
+    distance 0; scipy, given a dense matrix, read it as no edge.)
+    """
+    dist = np.full((num_nodes, num_nodes), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
+    for u, v, w in edges:
+        adjacency[u].append((v, float(w)))
+        adjacency[v].append((u, float(w)))
+    degree = max([1] + [len(row) for row in adjacency])
+    # Padding points a node at itself: never closer than it already is.
+    neighbours = np.repeat(np.arange(num_nodes)[:, None], degree, axis=1)
+    weights = np.full(neighbours.shape, np.inf)
+    for u, row in enumerate(adjacency):
+        for k, (v, w) in enumerate(row):
+            neighbours[u, k], weights[u, k] = v, w
+    # Tentative distances of the still-unsettled nodes; inf once settled.
+    tentative = dist.copy()
+    sources = np.arange(num_nodes)
+    for _ in range(num_nodes):
+        nearest = np.argmin(tentative, axis=1)
+        reach = tentative[sources, nearest]
+        if not np.isfinite(reach).any():
+            break
+        tentative[sources, nearest] = np.inf
+        targets = neighbours[nearest]
+        offered = reach[:, None] + weights[nearest]
+        rows, cols = np.nonzero(offered < dist[sources[:, None], targets])
+        hit, shorter = targets[rows, cols], offered[rows, cols]
+        dist[rows, hit] = shorter
+        tentative[rows, hit] = shorter
+    return dist
 
 
 def build_stop_graph(campus: CampusMap, interval: float = 100.0) -> StopGraph:

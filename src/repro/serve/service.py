@@ -32,7 +32,8 @@ Failure semantics (the SLO contract, see ``docs/serving.md``):
 * an observation whose forward gives NaN or Inf outputs → **400** (the
   rest of its batch is answered);
 * body over 32 MiB → **413** and the connection closes; an npz body
-  whose members declare over 32 MiB decoded → **413**;
+  whose members declare over 32 MiB decoded → **413**; an npz body with
+  more members than its kind has observation arrays → **400**;
 * unknown session → **404**;
 * bounded queue full → **429** ``{"error": "overloaded", ...}`` — load is
   shed instead of queueing without bound;
@@ -61,6 +62,9 @@ __all__ = ["DispatchService", "run_service"]
 
 _JSON = "application/json"
 _NPZ = "application/x-npz"
+# Observation arrays per request kind (see _validate): an npz body may
+# hold no more members than these, and is refused before it is parsed.
+_MAX_MEMBERS = {"ugv": 4, "uav": 2}
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 413: "Payload Too Large",
@@ -373,7 +377,8 @@ class DispatchService:
                 "kind": params.get("kind", ["ugv"])[0],
                 "greedy": params.get("greedy", ["0"])[0] in ("1", "true")}
         try:
-            arrays = decode_npz(body)
+            arrays = decode_npz(body, max_members=_MAX_MEMBERS.get(
+                meta["kind"], max(_MAX_MEMBERS.values())))
         except NpzError as exc:
             raise _HttpError(exc.status, f"bad npz body: {exc}") from None
         return meta, arrays

@@ -11,6 +11,9 @@ The decoder keeps the stdlib :mod:`zipfile` reader for the container
 (central directory, zip64, deflate, CRC) and accepts only what a numpy
 writer produces for plain numeric arrays:
 
+* when the caller bounds it, at most ``max_members`` members, counted
+  from the end record and the central directory's entry headers before
+  :class:`zipfile.ZipFile` builds a ``ZipInfo`` for every entry;
 * members are STORED or DEFLATED, unencrypted, uniquely named
   ``<key>.npy``, and declare at most :data:`MAX_BYTES` decoded bytes in
   total (checked on the central directory, before any member is read;
@@ -107,13 +110,17 @@ def _parse_npy(key: str, raw: bytes) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def decode_npz(body: bytes) -> dict[str, np.ndarray]:
+def decode_npz(body: bytes,
+               max_members: int | None = None) -> dict[str, np.ndarray]:
     """Decode an untrusted npz body into ``{key: array}``.
 
     Raises :class:`NpzError` (or :class:`NpzTooLarge`) on anything but
-    an npz of plain numeric arrays.
+    an npz of plain numeric arrays, or on more than ``max_members``
+    members when that is given.
     """
     try:
+        if max_members is not None:
+            _check_member_count(body, max_members)
         return _decode(body)
     except NpzError:
         raise
@@ -121,6 +128,56 @@ def decode_npz(body: bytes) -> dict[str, np.ndarray]:
         # they break decides the error (BadZipFile, zlib.error, EOFError,
         # a dtype numpy has no type for such as '<f3', ...).
         raise NpzError(f"{type(exc).__name__}: {exc}") from None
+
+
+# Zip records (APPNOTE 4.3.12, 4.3.14, 4.3.15, 4.3.16).
+_CENTRAL_SIG = b"PK\x01\x02"
+_END_SIG, _END64_SIG, _LOCATOR_SIG = b"PK\x05\x06", b"PK\x06\x06", b"PK\x06\x07"
+_END64 = struct.Struct("<IQHHIIQQQQ")
+_LOCATOR_SIZE = 20
+_CENTRAL_SIZE = 46
+
+
+def _check_member_count(body: bytes, limit: int) -> None:
+    """Refuse a body with more than ``limit`` members, in O(limit) work.
+
+    :class:`zipfile.ZipFile` builds a ``ZipInfo`` for every entry of the
+    central directory before anything can be checked, so 100k empty
+    members cost ~1 s.  This finds the end record (and the zip64 one
+    before it) as :mod:`zipfile` does, refuses a declared entry count
+    over ``limit``, then walks at most ``limit + 1`` entry headers, since
+    :mod:`zipfile` reads the directory by its byte size and ignores the
+    declared count.  A body it cannot follow is left for the reader to
+    refuse.
+    """
+    end = len(body) - _END.size
+    if end < 0:
+        return
+    if body[end:end + 4] != _END_SIG or body[-2:] != b"\0\0":
+        end = body.rfind(_END_SIG, max(end - 0xFFFF - 1, 0))
+        if end < 0 or end + _END.size > len(body):
+            return
+    _, _, _, on_disk, declared, size, _, _ = _END.unpack_from(body, end)
+    directory_end = end
+    locator = end - _LOCATOR_SIZE
+    record = locator - _END64.size
+    if (record >= 0 and body[locator:locator + 4] == _LOCATOR_SIG
+            and body[record:record + 4] == _END64_SIG):
+        on_disk, declared, size = _END64.unpack_from(body, record)[6:9]
+        directory_end = record
+    if max(on_disk, declared) > limit:
+        raise NpzError(f"body declares {max(on_disk, declared)} members, "
+                       f"over {limit}")
+    at = directory_end - size
+    if at < 0:
+        return
+    for _ in range(limit + 1):
+        if (at + _CENTRAL_SIZE > directory_end
+                or body[at:at + 4] != _CENTRAL_SIG):
+            return
+        names, extra, comment = struct.unpack_from("<HHH", body, at + 28)
+        at += _CENTRAL_SIZE + names + extra + comment
+    raise NpzError(f"central directory holds more than {limit} members")
 
 
 def _decode(body: bytes) -> dict[str, np.ndarray]:

@@ -140,6 +140,13 @@ class TestStructuralValidity:
         building = kaist.buildings[0]
         assert kaist.distance_to_road(building.centroid) > 0
 
+    def test_distance_to_road_is_the_nearest_edge_distance(self, kaist):
+        for building in kaist.buildings[:10]:
+            centre = building.centroid
+            want = min(point_segment_distance(centre, a, b)
+                       for a, b in kaist.road_edges())
+            assert kaist.distance_to_road(centre) == want
+
 
 class TestDeterminismAndScaling:
     def test_same_seed_same_campus(self):

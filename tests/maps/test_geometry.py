@@ -13,6 +13,7 @@ from repro.maps import (
     regular_polygon,
     segments_intersect,
 )
+from repro.maps.geometry import segment_distances
 
 
 class TestBasics:
@@ -161,3 +162,16 @@ def test_segments_intersect_symmetric(ax, ay, bx, by):
     s1 = ((ax, ay), (bx, by))
     s2 = ((0.0, 0.0), (1.0, 1.0))
     assert segments_intersect(*s1, *s2) == segments_intersect(*s2, *s1)
+
+
+def test_segment_distances_equal_the_scalar_distance_bitwise():
+    """The one-pass distance is point_segment_distance's float, bit for
+    bit, including degenerate segments (campus building placement
+    compares it against a margin, so a last-bit change could move a
+    building)."""
+    rng = np.random.default_rng(3)
+    segments = rng.uniform(0.0, 1700.0, size=(200, 4))
+    segments[::23, 2:] = segments[::23, :2]
+    for point in rng.uniform(0.0, 1700.0, size=(100, 2)):
+        want = [point_segment_distance(point, s[:2], s[2:]) for s in segments]
+        assert segment_distances(point, segments).tolist() == want

@@ -131,3 +131,26 @@ class TestQueries:
         metres = toy_stops.metre_distances()
         for idx in reachable:
             assert metres[0, idx] <= 200.0
+
+
+def test_all_pairs_dijkstra_is_scipys_bytes_on_random_graphs():
+    """Disconnected parts (inf), isolated nodes and equal-length paths
+    included: the numpy all-pairs Dijkstra returns scipy's bytes."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+
+    from repro.maps.stop_graph import _all_pairs_dijkstra
+
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        graph = nx.gnp_random_graph(n, rng.uniform(0.02, 0.3),
+                                    seed=int(rng.integers(2**31)))
+        for u, v in graph.edges():
+            graph[u][v]["length"] = float(rng.choice(
+                [1.0, 100.0 / 3.0, rng.uniform(0.1, 300.0)]))
+        got = _all_pairs_dijkstra(n, [(u, v, d["length"])
+                                      for u, v, d in graph.edges(data=True)])
+        dense = nx.to_numpy_array(graph, nodelist=range(n), weight="length")
+        want = csgraph.dijkstra(csr_matrix(dense), directed=False)
+        assert got.tobytes() == want.tobytes()

@@ -174,9 +174,9 @@ def test_codec_stage_accounting_on_a_stepped_clock(frozen_policy,
     clock = _SteppedClock()
     decode, encode = service_module.decode_npz, service_module.encode_npz
 
-    def slow_decode(body):
+    def slow_decode(body, **kwargs):
         clock.now += 0.25
-        return decode(body)
+        return decode(body, **kwargs)
 
     def slow_encode(arrays):
         clock.now += 0.125
@@ -271,6 +271,35 @@ def test_act_npz_roundtrip(server, frozen_policy, session_id):
     with np.load(io.BytesIO(body)) as data:
         assert data["actions"].shape == (grids.shape[0], 2)
         assert data["moves"].shape == (grids.shape[0], 2)
+    conn.close()
+
+
+def test_npz_with_more_members_than_fields_is_400_unparsed(
+        server, frozen_policy, session_id, monkeypatch):
+    """An npz body holding more members than its kind has observation
+    arrays (ugv 4, uav 2) is refused before ``zipfile.ZipFile`` would
+    build a ``ZipInfo`` per member; the session still serves after."""
+    import zipfile
+
+    _, grids, aux = _probe_arrays(frozen_policy.schema)
+    bodies = [("uav", _npz({"grids": grids, "aux": aux, "extra": aux})),
+              ("ugv", _npz({**_ugv_arrays(frozen_policy), "extra": aux})),
+              ("uav", _npz({f"m{i}": np.zeros(0) for i in range(5000)}))]
+    opened = []
+    real = zipfile.ZipFile
+    monkeypatch.setattr(zipfile, "ZipFile",
+                        lambda *a, **k: opened.append(1) or real(*a, **k))
+    conn = server.connection()
+    for kind, body in bodies:
+        status, reply = _call(conn, "POST",
+                              f"/v1/act?session={session_id}&kind={kind}",
+                              body, ctype="application/x-npz")
+        assert status == 400 and "members" in json.loads(reply)["error"]
+    assert not opened
+    status, _ = _call(conn, "POST", f"/v1/act?session={session_id}&kind=uav",
+                      _npz({"grids": grids, "aux": aux}),
+                      ctype="application/x-npz")
+    assert status == 200 and opened
     conn.close()
 
 

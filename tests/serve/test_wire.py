@@ -322,3 +322,86 @@ def test_member_inflates_no_further_than_it_declares():
             decode_npz(body)
 
     assert _peak_bytes(refused) < 1 << 20
+
+
+# ----------------------------------------------------------------------
+# Member count, bounded before zipfile parses the directory
+# ----------------------------------------------------------------------
+
+_EOCD = struct.Struct("<IHHHHIIH")
+
+
+def _as_zip64(body: bytes, declared: int | None = None) -> bytes:
+    """``body`` with a zip64 end record and locator before its end
+    record, whose entry counts then read 0xFFFF (defer to zip64)."""
+    end = len(body) - _EOCD.size
+    sig, disk, cd_disk, _, count, size, offset, comment = \
+        _EOCD.unpack_from(body, end)
+    count = count if declared is None else declared
+    record = struct.pack("<IQHHIIQQQQ", 0x06064B50, 44, 45, 45, 0, 0,
+                         count, count, size, offset)
+    locator = struct.pack("<IIQI", 0x07064B50, 0, end, 1)
+    return (body[:end] + record + locator
+            + _EOCD.pack(sig, disk, cd_disk, 0xFFFF, 0xFFFF, size, offset,
+                         comment))
+
+
+def _with_declared_count(body: bytes, count: int) -> bytes:
+    """``body`` whose end record declares ``count`` entries, whatever
+    its central directory holds."""
+    out = bytearray(body)
+    struct.pack_into("<HH", out, len(out) - _EOCD.size + 8, count, count)
+    return bytes(out)
+
+
+@pytest.fixture
+def zipfile_opens(monkeypatch):
+    """Counts ``zipfile.ZipFile`` constructions from here on."""
+    opened = []
+    real = zipfile.ZipFile
+
+    def counting(*args, **kwargs):
+        opened.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zipfile, "ZipFile", counting)
+    return opened
+
+
+_TWO = {"grids": np.zeros((1, 3, 4, 4)), "aux": np.zeros((1, 5))}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _zip({f"m{i}.npy": b"" for i in range(2000)}),
+    lambda: _with_declared_count(
+        _zip({f"m{i}.npy": b"" for i in range(2000)}), 2),
+    lambda: _savez({**_TWO, "extra": np.zeros(1)}),
+    lambda: _with_declared_count(_savez(_TWO), 3),
+    lambda: _as_zip64(_savez(_TWO), declared=3),
+    lambda: _as_zip64(_zip({f"m{i}.npy": b"" for i in range(50)}),
+                      declared=2),
+], ids=["many-members", "many-members-declared-two", "one-extra",
+        "declares-three", "zip64-declares-three", "zip64-many-members"])
+def test_more_members_than_allowed_is_400_before_zipfile_opens(
+        make, zipfile_opens):
+    body = make()
+    zipfile_opens.clear()
+    with pytest.raises(NpzError) as info:
+        decode_npz(body, max_members=2)
+    assert info.value.status == 400
+    assert "members" in str(info.value)
+    assert not zipfile_opens
+
+
+@pytest.mark.parametrize("zip64", [False, True], ids=["zip32", "zip64"])
+def test_member_bound_admits_a_body_at_the_bound(zip64, zipfile_opens):
+    body = _savez(_TWO)
+    if zip64:
+        body = _as_zip64(body)
+        _assert_same(_np_load(body), _TWO)
+    _assert_same(decode_npz(body, max_members=2), _TWO)
+    # With an archive comment the end record is found by search.
+    buf = io.BytesIO(body)
+    with zipfile.ZipFile(buf, "a") as archive:
+        archive.comment = b"PK comment " * 100
+    _assert_same(decode_npz(buf.getvalue(), max_members=2), _TWO)
