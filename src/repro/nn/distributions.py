@@ -11,9 +11,32 @@ import numpy as np
 from . import functional as F
 from .tensor import Tensor, as_tensor
 
-__all__ = ["Categorical", "DiagGaussian"]
+__all__ = ["Categorical", "DiagGaussian", "sample_categorical"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def sample_categorical(log_probs: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw one index per row of ``log_probs`` (last axis = actions).
+
+    Inverse-cdf sampling: one ``rng.random()`` per row, compared against
+    the row's renormalised cumulative probabilities.  If rounding leaves
+    the cdf's last entry below the draw, the index would be one past the
+    end; such a draw takes the row's last action with positive
+    probability instead.
+    """
+    p = np.exp(log_probs)
+    flat = p.reshape(-1, p.shape[-1])
+    # Guard against tiny numeric drift off the simplex.
+    flat = flat / flat.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(flat, axis=-1)
+    u = rng.random((flat.shape[0], 1))
+    idx = (u > cdf).sum(axis=-1)
+    over = idx == flat.shape[1]
+    if over.any():
+        idx[over] = flat.shape[1] - 1 - (flat[over, ::-1] > 0).argmax(axis=-1)
+    return idx.reshape(p.shape[:-1])
 
 
 class Categorical:
@@ -29,14 +52,7 @@ class Categorical:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Sample action indices; works on any batch shape."""
-        p = self.probs
-        flat = p.reshape(-1, p.shape[-1])
-        # Guard against tiny numeric drift off the simplex.
-        flat = flat / flat.sum(axis=-1, keepdims=True)
-        cdf = np.cumsum(flat, axis=-1)
-        u = rng.random((flat.shape[0], 1))
-        idx = (u > cdf).sum(axis=-1)
-        return idx.reshape(p.shape[:-1])
+        return sample_categorical(self.log_probs_all.data, rng)
 
     def mode(self) -> np.ndarray:
         return self.log_probs_all.data.argmax(axis=-1)

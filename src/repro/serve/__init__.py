@@ -11,14 +11,17 @@ This package is that path, in three layers:
   weights + config fingerprint + an observation/action schema manifest),
   verified bit-identical against the training-time policy at export time
   and re-verifiable at every load.
-* :mod:`repro.serve.engine` — a work-conserving micro-batcher that
-  runs whatever requests are queued (up to ``max_batch``) as one
-  batched forward (``UGVPolicy.forward_batched`` /
-  ``UAVPolicy.forward_arrays``) without holding a batch open, behind a
-  bounded queue with load-shedding and per-request deadlines.
+* :mod:`repro.serve.engine` — a thread-free, work-conserving
+  micro-batcher: each ``run_batch`` call runs whatever requests are
+  queued (up to ``max_batch``) as one batched forward
+  (``UGVPolicy.forward_batched`` / ``UAVPolicy.forward_arrays``)
+  without holding a batch open, behind a bounded queue with
+  load-shedding and per-request deadlines.
 * :mod:`repro.serve.service` — ``repro serve``: a stdlib-only asyncio
-  HTTP front end with per-stream scenario sessions, request timeouts,
-  429-style rejection under overload and graceful drain on SIGTERM.
+  HTTP front end on one thread, which runs the engine's batches on its
+  event loop, with per-stream scenario sessions, request timeouts,
+  429-style rejection under overload, graceful drain on SIGTERM and a
+  ``Server-Timing`` header on every decision.
 
 :mod:`repro.serve.loadgen` replays thousands of concurrent synthetic
 scenario streams against a running service and returns p50/p99 latency,

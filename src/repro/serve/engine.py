@@ -1,13 +1,17 @@
 """Dynamic micro-batching inference engine over a frozen policy.
 
-Concurrent callers submit single-scenario observation payloads; a single
-worker thread coalesces them into one batched forward through the
-policy's PR-3 batched paths (``UGVPolicy.forward_batched`` over stacked
-replicas, ``UAVPolicy.forward_arrays`` over concatenated crops).
-Batching is work-conserving: the worker takes the oldest request plus
-whatever is already queued, up to ``max_batch``, and runs it at once.
-It never holds a batch open waiting for company, so a lone request pays
-no batching delay; requests that arrive during a forward form the next
+Callers on one event loop submit single-scenario observation payloads;
+each :meth:`InferenceEngine.run_batch` call coalesces the queued ones
+into one batched forward through the policy's batched paths
+(``UGVPolicy.forward_batched`` over stacked replicas,
+``UAVPolicy.forward_arrays`` over concatenated crops).  The engine owns
+no thread: the service schedules ``run_batch`` on the loop (``call_soon``)
+whenever requests are queued, so the forward runs on the loop's own
+thread and a request costs no cross-thread wake-up.  Batching is
+work-conserving: a batch takes the oldest request plus whatever is
+already queued behind it, up to ``max_batch``, and runs at once.  It
+never holds a batch open waiting for company, so a lone request pays no
+batching delay; requests that arrive during a forward form the next
 batch, so batches still grow with load.
 
 The queue is bounded: :meth:`InferenceEngine.submit` raises
@@ -19,13 +23,12 @@ spending a forward on them.  A request whose forward outputs are not
 finite (an observation too large for float64, say) is failed alone
 with :class:`NonFiniteOutput`; the rest of its batch is answered.
 
-Sampling happens inside the worker thread with the *per-session* rng the
-caller passed, so one scenario stream's action sequence depends only on
-its own seed and its own observation order — never on which other
-streams shared a batch.  (The forward's floats are not: BLAS blocks
-rows differently at different batch sizes, so a row's outputs can move
-in the last few bits with the size of its batch; see
-``docs/serving.md``.)
+Sampling uses the *per-session* rng the caller passed, so one scenario
+stream's action sequence depends only on its own seed and its own
+observation order — never on which other streams shared a batch.  (The
+forward's floats are not: BLAS blocks rows differently at different
+batch sizes, so a row's outputs can move in the last few bits with the
+size of its batch; see ``docs/serving.md``.)
 
 Deadlines use ``time.perf_counter`` — a monotonic interval clock, not
 wall time, so the determinism analyzer's DT002 wall-clock rule stays
@@ -34,22 +37,20 @@ quiet by construction.
 
 from __future__ import annotations
 
-import queue
-import threading
+import asyncio
 import time
-from concurrent.futures import Future, InvalidStateError
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..env.observation import UGVObsArrays
+from ..nn.distributions import sample_categorical
 from ..obs.scope import counter_add, histogram_observe
 from .artifact import FrozenPolicy
 
 __all__ = ["EngineOverloaded", "InferenceEngine", "InferenceResult",
            "NonFiniteOutput"]
-
-_STOP = object()
 
 
 class EngineOverloaded(RuntimeError):
@@ -69,7 +70,9 @@ class InferenceResult:
     normalised 2-D direction for UAVs); ``moves`` scales UAV actions by
     the schema's ``uav_max_step`` into metres (``None`` for UGV
     requests).  ``batch_size`` records how many requests shared the
-    forward (observability + batching tests).
+    forward (observability + batching tests); ``queue_ms`` is this
+    request's submit -> batch-start wait and ``forward_ms`` the duration
+    of the forward that served it (the ``Server-Timing`` header).
     """
 
     kind: str
@@ -78,6 +81,8 @@ class InferenceResult:
     values: np.ndarray
     moves: np.ndarray | None
     batch_size: int
+    queue_ms: float
+    forward_ms: float
 
     def fields(self) -> dict:
         """The reply's fields by name (``moves`` for UAV requests only)."""
@@ -94,75 +99,55 @@ class _Request:
     kind: str
     arrays: tuple
     rng: np.random.Generator | None  # None => greedy (distribution mode)
-    future: Future
+    future: asyncio.Future
     enqueued: float
     deadline: float
-
-
-def _resolve(future: Future, value=None, exc: BaseException | None = None) -> None:
-    """Set a future's outcome, tolerating caller-side cancellation."""
-    try:
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(value)
-    except InvalidStateError:
-        pass  # caller cancelled/timed out first; the result is moot
 
 
 class InferenceEngine:
     """Bounded-queue micro-batcher in front of a :class:`FrozenPolicy`.
 
-    ``submit`` is thread-safe and returns a ``concurrent.futures.Future``
-    (the asyncio front end wraps it with ``asyncio.wrap_future``).  Pass
-    ``autostart=False`` to control the worker thread explicitly — the
-    batching tests use this to stage a known queue before any batch is
-    assembled.
+    Thread-free: :meth:`submit` (called from a running event loop)
+    queues a request and returns a loop future for it, and each
+    :meth:`run_batch` call serves one batch of the queue.  The caller
+    decides when batches run — the service flushes with ``call_soon``,
+    and the batching tests stage a known queue before calling
+    ``run_batch`` themselves.
     """
 
     def __init__(self, policy: FrozenPolicy, *, max_batch: int = 32,
-                 queue_limit: int = 256, timeout_ms: float = 1000.0,
-                 autostart: bool = True):
+                 queue_limit: int = 256, timeout_ms: float = 1000.0):
         if max_batch < 1 or queue_limit < 1:
             raise ValueError("max_batch and queue_limit must be >= 1")
         self.policy = policy
         self.max_batch = int(max_batch)
+        self.queue_limit = int(queue_limit)
         self.timeout_s = float(timeout_ms) / 1e3
-        self._queue: queue.Queue = queue.Queue(maxsize=int(queue_limit))
-        self._thread: threading.Thread | None = None
+        self._queue: deque[_Request] = deque()
         self._stopping = False
-        # Monotonic counters; each key is written from a single thread
-        # (shed/submitted by callers, the rest by the worker).
-        # ``queue_wait_ms`` sums each live request's submit -> batch-start
-        # wait; ``forward_ms`` sums the time spent in per-kind forwards.
+        # Monotonic counters.  ``queue_wait_ms`` sums each live request's
+        # submit -> batch-start wait; ``forward_ms`` sums the time spent
+        # in per-kind forwards.
         self.stats = {"submitted": 0, "completed": 0, "shed": 0,
                       "timeouts": 0, "batches": 0, "max_batch_seen": 0,
                       "queue_wait_ms": 0.0, "forward_ms": 0.0}
-        if autostart:
-            self.start()
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the worker thread (idempotent)."""
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._worker,
-                                            name="serve-engine", daemon=True)
-            self._thread.start()
+    @property
+    def pending(self) -> int:
+        """Requests queued and not yet taken by a batch."""
+        return len(self._queue)
 
-    def stop(self, timeout: float | None = 30.0) -> None:
-        """Drain: finish every queued request, then stop the worker."""
-        if self._stopping:
-            return
+    def stop(self) -> None:
+        """Drain: refuse new requests and serve every queued one."""
         self._stopping = True
-        self._queue.put(_STOP)  # FIFO: everything queued before it drains first
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        while self._queue:
+            self.run_batch()
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, arrays: tuple, *,
                rng: np.random.Generator | None = None, greedy: bool = False,
-               timeout_s: float | None = None) -> Future:
-        """Enqueue one request; returns a future for its result.
+               timeout_s: float | None = None) -> asyncio.Future:
+        """Enqueue one request; returns a loop future for its result.
 
         Raises :class:`EngineOverloaded` when the bounded queue is full
         and ``RuntimeError`` once the engine is stopping.  ``greedy``
@@ -175,55 +160,42 @@ class InferenceEngine:
             raise RuntimeError("engine is stopping; not accepting requests")
         if not greedy and rng is None:
             raise ValueError("non-greedy requests need a session rng")
-        now = time.perf_counter()
-        request = _Request(kind, tuple(arrays), None if greedy else rng,
-                           Future(), now,
-                           now + (self.timeout_s if timeout_s is None
-                                  else float(timeout_s)))
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
+        if len(self._queue) >= self.queue_limit:
             self.stats["shed"] += 1
             counter_add("serve/shed")
             raise EngineOverloaded(
-                f"inference queue full ({self._queue.maxsize} pending)") from None
+                f"inference queue full ({self.queue_limit} pending)")
+        now = time.perf_counter()
+        request = _Request(kind, tuple(arrays), None if greedy else rng,
+                           asyncio.get_running_loop().create_future(), now,
+                           now + (self.timeout_s if timeout_s is None
+                                  else float(timeout_s)))
+        self._queue.append(request)
         self.stats["submitted"] += 1
         counter_add("serve/requests")
         return request.future
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Batch side
     # ------------------------------------------------------------------
-    def _worker(self) -> None:
-        while True:
-            batch = self._collect()
-            stop_seen = batch[-1] is _STOP
-            if stop_seen:
-                batch.pop()
-            if batch:
-                self._process(batch)
-            if stop_seen:
-                return
+    def run_batch(self) -> None:
+        """Serve the oldest queued request plus whatever is queued behind
+        it, up to ``max_batch``, as one batch (a no-op on an empty queue).
 
-    def _collect(self) -> list:
-        """Block for the oldest request, then add whatever is already
-        queued behind it, up to ``max_batch`` (or up to a stop marker)."""
-        batch: list = [self._queue.get()]
-        while len(batch) < self.max_batch and batch[-1] is not _STOP:
-            try:
-                batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return batch
-
-    def _process(self, batch: list[_Request]) -> None:
+        Expired requests are failed with :class:`TimeoutError` and
+        cancelled ones dropped, both without a forward.
+        """
+        batch = [self._queue.popleft()
+                 for _ in range(min(self.max_batch, len(self._queue)))]
         now = time.perf_counter()
         live: list[_Request] = []
         for request in batch:
+            if request.future.cancelled():
+                continue  # its caller is gone; nobody reads the result
             if request.deadline <= now:
                 self.stats["timeouts"] += 1
                 counter_add("serve/timeouts")
-                _resolve(request.future, exc=TimeoutError(
+                request.future.set_exception(TimeoutError(
                     "request expired in queue before a batch slot opened"))
             else:
                 live.append(request)
@@ -241,33 +213,32 @@ class InferenceEngine:
                 # Overflow in a hostile request's forward is caught per
                 # request below; it need not reach the server log.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    results = runner(group)
-            except BaseException as exc:  # fail the group, keep serving
+                    results = runner(group, now)
+            except Exception as exc:  # fail the group, keep serving
                 for request in group:
-                    _resolve(request.future, exc=exc)
+                    request.future.set_exception(exc)
                 continue
-            # Count before resolving: a caller woken by its future (and
-            # any /v1/metrics read after its response) sees itself counted.
             done = sum(isinstance(r, InferenceResult) for r in results)
             self.stats["completed"] += done
             counter_add("serve/completed", done)
             for request, result in zip(group, results):
                 if isinstance(result, NonFiniteOutput):
-                    _resolve(request.future, exc=result)
+                    request.future.set_exception(result)
                 else:
-                    _resolve(request.future, result)
+                    request.future.set_result(result)
         latency_ms = (time.perf_counter() - live[0].enqueued) * 1e3
         histogram_observe("serve/oldest_latency_ms", latency_ms)
 
     # -- per-kind batched execution ------------------------------------
     def _forward(self, forward, *args):
+        """``(forward(*args), its duration in ms)``, counted in stats."""
         start = time.perf_counter()
-        try:
-            return forward(*args)
-        finally:
-            self.stats["forward_ms"] += (time.perf_counter() - start) * 1e3
+        out = forward(*args)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        self.stats["forward_ms"] += elapsed_ms
+        return out, elapsed_ms
 
-    def _run_ugv(self, group: list[_Request]
+    def _run_ugv(self, group: list[_Request], now: float
                  ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_batched`` over the group's stacked replicas."""
         obs = UGVObsArrays(
@@ -276,7 +247,8 @@ class InferenceEngine:
             ugv_stops=np.stack([r.arrays[2] for r in group]).astype(np.int64),
             action_mask=np.stack([r.arrays[3] for r in group]),
         )
-        logits, values = self._forward(self.policy.ugv_forward, obs)
+        (logits, values), forward_ms = self._forward(self.policy.ugv_forward,
+                                                     obs)
         # Row-wise log-softmax in float64 (matches Categorical's math).
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs_all = shifted - np.log(
@@ -290,28 +262,24 @@ class InferenceEngine:
                     "UGV forward gave non-finite log-probs or values"))
                 continue
             row_logp = log_probs_all[i]  # (U, B+1)
-            if request.rng is None:
-                actions = row_logp.argmax(axis=-1)
-            else:
-                probs = np.exp(row_logp)
-                probs = probs / probs.sum(axis=-1, keepdims=True)
-                cdf = np.cumsum(probs, axis=-1)
-                draws = request.rng.random((probs.shape[0], 1))
-                actions = (draws > cdf).sum(axis=-1)
+            actions = (row_logp.argmax(axis=-1) if request.rng is None
+                       else sample_categorical(row_logp, request.rng))
             taken = np.take_along_axis(row_logp, actions[:, None], axis=-1)[:, 0]
             results.append(InferenceResult(
                 kind="ugv", actions=actions, log_probs=taken,
-                values=values[i], moves=None, batch_size=len(group)))
+                values=values[i], moves=None, batch_size=len(group),
+                queue_ms=(now - request.enqueued) * 1e3,
+                forward_ms=forward_ms))
         return results
 
-    def _run_uav(self, group: list[_Request]
+    def _run_uav(self, group: list[_Request], now: float
                  ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_arrays`` over the group's concatenated crops."""
         sizes = [r.arrays[0].shape[0] for r in group]
         grids = np.concatenate([r.arrays[0] for r in group])
         aux = np.concatenate([r.arrays[1] for r in group])
-        mean, log_std, values = self._forward(self.policy.uav_forward,
-                                              grids, aux)
+        (mean, log_std, values), forward_ms = self._forward(
+            self.policy.uav_forward, grids, aux)
         std = np.exp(log_std)
         max_step = float(self.policy.schema["uav_max_step"])
         finite = np.isfinite(mean).all(axis=1) & np.isfinite(values)
@@ -334,6 +302,7 @@ class InferenceEngine:
             results.append(InferenceResult(
                 kind="uav", actions=actions, log_probs=log_probs,
                 values=values[offset:offset + n], moves=actions * max_step,
-                batch_size=len(group)))
+                batch_size=len(group), queue_ms=(now - request.enqueued) * 1e3,
+                forward_ms=forward_ms))
             offset += n
         return results

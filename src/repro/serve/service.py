@@ -1,9 +1,10 @@
 """``repro serve``: stdlib-asyncio dispatch service over a frozen artifact.
 
-One process, three layers: this module's minimal HTTP/1.1 front end
-(`asyncio.start_server`; no third-party web framework), the
-:class:`~repro.serve.engine.InferenceEngine` micro-batcher on its worker
-thread, and the :class:`~repro.serve.artifact.FrozenPolicy` forwards.
+One process on one thread, three layers: this module's minimal HTTP/1.1
+front end (`asyncio.start_server`; no third-party web framework), the
+:class:`~repro.serve.engine.InferenceEngine` micro-batcher, whose batches
+this service runs on the event loop (``call_soon``) whenever requests are
+queued, and the :class:`~repro.serve.artifact.FrozenPolicy` forwards.
 
 Endpoints (all JSON unless noted):
 
@@ -21,7 +22,9 @@ Endpoints (all JSON unless noted):
   nested lists>}``) or, for high-throughput clients, an ``.npz`` body
   (``Content-Type: application/x-npz``, observation arrays by name) with
   session/kind/greedy passed as query parameters; the response mirrors
-  the request encoding.  :mod:`repro.serve.wire` is the npz codec.
+  the request encoding.  :mod:`repro.serve.wire` is the npz codec.  A
+  200 carries a ``Server-Timing`` header with this request's ``decode``,
+  ``queue``, ``forward`` and ``encode`` durations in ms.
 
 Failure semantics (the SLO contract, see ``docs/serving.md``):
 
@@ -111,6 +114,7 @@ class DispatchService:
         self.stats = {"decode_ms": 0.0, "encode_ms": 0.0}
         self.draining = False
         self._session_counter = 0
+        self._flush_scheduled = False
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -173,10 +177,11 @@ class DispatchService:
                     break
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
-                status, ctype, payload = await self._route(method, path,
-                                                           headers, body)
+                status, ctype, payload, *extra = await self._route(
+                    method, path, headers, body)
                 close = not keep_alive or self.draining
-                writer.write(self._response(status, ctype, payload, close))
+                writer.write(self._response(status, ctype, payload, close,
+                                            *extra))
                 await writer.drain()
                 if close:
                     break
@@ -223,11 +228,11 @@ class DispatchService:
         return method.upper(), target, headers, body
 
     @staticmethod
-    def _response(status: int, ctype: str, payload: bytes,
-                  close: bool) -> bytes:
+    def _response(status: int, ctype: str, payload: bytes, close: bool,
+                  extra_headers: str = "") -> bytes:
         head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
                 f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
+                f"Content-Length: {len(payload)}\r\n{extra_headers}"
                 f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n")
         return head.encode("latin-1") + payload
 
@@ -239,7 +244,9 @@ class DispatchService:
     # Routing
     # ------------------------------------------------------------------
     async def _route(self, method: str, target: str, headers: dict,
-                     body: bytes) -> tuple[int, str, bytes]:
+                     body: bytes) -> tuple:
+        """``(status, content type, body)``, plus the extra header lines
+        of a ``/v1/act`` 200."""
         parts = urlsplit(target)
         path = parts.path
         try:
@@ -298,7 +305,7 @@ class DispatchService:
 
     # -- act ------------------------------------------------------------
     async def _act(self, query: str, headers: dict,
-                   body: bytes) -> tuple[int, str, bytes]:
+                   body: bytes) -> tuple[int, str, bytes, str]:
         if self.draining:
             raise _HttpError(503, "draining; not accepting new requests")
         ctype = headers.get("content-type", _JSON).split(";")[0].strip()
@@ -312,7 +319,8 @@ class DispatchService:
             raise _HttpError(404, f"unknown session {meta['session']!r}")
         kind = meta["kind"]
         payload = self._validate(kind, arrays)
-        self.stats["decode_ms"] += (time.perf_counter() - start) * 1e3
+        decode_ms = (time.perf_counter() - start) * 1e3
+        self.stats["decode_ms"] += decode_ms
         session.requests += 1
         try:
             future = self.engine.submit(kind, payload, rng=session.rng,
@@ -321,14 +329,14 @@ class DispatchService:
             raise _HttpError(429, f"overloaded: {exc}") from None
         except RuntimeError as exc:
             raise _HttpError(503, str(exc)) from None
+        self._schedule_flush()
         self._inflight += 1
         self._idle.clear()
         try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future), self.engine.timeout_s + 1.0)
+            # Every queued request is answered or expired by some batch,
+            # so the wait needs no timer of its own.
+            result = await future
         except TimeoutError:
-            raise _HttpError(504, "request deadline exceeded") from None
-        except asyncio.TimeoutError:
             raise _HttpError(504, "request deadline exceeded") from None
         except NonFiniteOutput as exc:
             raise _HttpError(400, str(exc)) from None
@@ -344,8 +352,30 @@ class DispatchService:
             ctype, reply = _JSON, self._json(
                 {k: v.tolist() if isinstance(v, np.ndarray) else v
                  for k, v in out.items()})
-        self.stats["encode_ms"] += (time.perf_counter() - start) * 1e3
-        return 200, ctype, reply
+        encode_ms = (time.perf_counter() - start) * 1e3
+        self.stats["encode_ms"] += encode_ms
+        return 200, ctype, reply, (
+            f"Server-Timing: decode;dur={decode_ms:.3f}, "
+            f"queue;dur={result.queue_ms:.3f}, "
+            f"forward;dur={result.forward_ms:.3f}, "
+            f"encode;dur={encode_ms:.3f}\r\n")
+
+    def _schedule_flush(self) -> None:
+        """Run a batch on the loop soon, unless one is already due.
+
+        ``call_soon`` lets every request that arrived in this loop
+        iteration join the batch; the batch itself holds no request
+        back waiting for company.
+        """
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        self.engine.run_batch()
+        if self.engine.pending:  # yield first: replies go out, arrivals join
+            self._schedule_flush()
 
     # -- payload decoding / schema validation ---------------------------
     @staticmethod
@@ -467,9 +497,6 @@ def run_service(artifact_dir: str | Path, *, host: str = "127.0.0.1",
         if ready_file is not None:
             Path(ready_file).write_text(f"{bound_host} {bound_port}\n")
 
-    try:
-        asyncio.run(service.serve(ready_callback=_ready))
-    finally:
-        engine.stop()
+    asyncio.run(service.serve(ready_callback=_ready))
     print(f"drained: {engine.stats}", flush=True)
     return 0

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from repro.nn import Categorical, DiagGaussian, Tensor
+from repro.nn.distributions import sample_categorical
+
+
+class _TopDraw:
+    """Stub rng: every ``random()`` draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
 
 
 class TestCategorical:
@@ -47,6 +55,34 @@ class TestCategorical:
         dist.log_prob(np.array([0])).sum().backward()
         # d/dlogits of log p(a=0) = onehot(0) - softmax = [2/3, -1/3, -1/3]
         np.testing.assert_allclose(t.grad, [[2 / 3, -1 / 3, -1 / 3]], atol=1e-9)
+
+    def test_draw_past_the_rounded_cdf_takes_the_last_feasible_action(self):
+        """A draw above the last entry of the rounded cdf takes the row's
+        last action with positive probability, not an index past the end."""
+        # Over 7 or 19 equal actions the renormalised cdf ends below the
+        # stub's draw (at 1 - 2**-52 and 1 - 2**-51).
+        uniform = Categorical(Tensor(np.zeros((3, 7))))
+        np.testing.assert_array_equal(uniform.sample(_TopDraw()), [6, 6, 6])
+        masked = np.stack([np.r_[np.zeros(19), -1e9, -1e9],
+                           np.r_[-1e9, np.zeros(19), -1e9]])
+        log_probs = Categorical(Tensor(masked)).log_probs_all.data
+        p = np.exp(log_probs)
+        cdf_end = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)[:, -1]
+        assert (cdf_end < np.nextafter(1.0, 0.0)).all(), cdf_end
+        np.testing.assert_array_equal(
+            sample_categorical(log_probs, _TopDraw()), [18, 19])
+
+    def test_sample_is_the_inverse_cdf_draw(self):
+        """Away from the rounding edge, a draw is ``(u > cdf).sum()``
+        bitwise: the same rng stream gives the same indices."""
+        logits = np.random.default_rng(3).normal(size=(4, 6, 5)) * 3
+        log_probs = Categorical(Tensor(logits)).log_probs_all.data
+        p = np.exp(log_probs).reshape(-1, 5)
+        p = p / p.sum(axis=-1, keepdims=True)
+        u = np.random.default_rng(4).random((p.shape[0], 1))
+        want = (u > np.cumsum(p, axis=-1)).sum(axis=-1).reshape(4, 6)
+        got = sample_categorical(log_probs, np.random.default_rng(4))
+        np.testing.assert_array_equal(got, want)
 
     def test_batched_shapes(self):
         dist = Categorical(Tensor(np.zeros((5, 7))))

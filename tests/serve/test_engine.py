@@ -1,8 +1,14 @@
 """Micro-batcher semantics: no hold, coalesce, deadline, shed, drain,
-non-finite outputs, stage accounting."""
+non-finite outputs, stage accounting.
+
+``submit`` makes loop futures, so each scenario runs inside a running
+event loop (:func:`_in_loop`); the engine has no thread, so a scenario
+stages its queue and then runs the batches itself with ``run_batch``.
+"""
 
 from __future__ import annotations
 
+import asyncio
 import statistics
 import time
 import warnings
@@ -27,58 +33,82 @@ def _uav_payload(policy, rng, n=2):
     return (grids[:n], aux[:n])
 
 
+def _in_loop(scenario):
+    """Run ``scenario()`` inside a running event loop, let the loop run
+    the done-callbacks its batches scheduled, and return its result."""
+    async def main():
+        out = scenario()
+        await asyncio.sleep(0)
+        return out
+    return asyncio.run(main())
+
+
+def _staged(eng, requests):
+    """Submit every ``(kind, payload, submit kwargs)`` in ``requests``,
+    then run batches until the queue is empty; returns the futures."""
+    def scenario():
+        futures = [eng.submit(kind, payload, **kwargs)
+                   for kind, payload, kwargs in requests]
+        while eng.pending:
+            eng.run_batch()
+        return futures
+    return _in_loop(scenario)
+
+
 @pytest.fixture
 def engine(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8,
-                          queue_limit=16, timeout_ms=2000)
-    yield eng
-    eng.stop()
+    return InferenceEngine(frozen_policy, max_batch=8,
+                           queue_limit=16, timeout_ms=2000)
 
 
 def test_lone_request_runs_as_batch_of_one_without_hold(frozen_policy):
     """A lone request on an idle engine runs at once as a batch of one:
-    the worker never holds a batch open waiting for company."""
+    ``run_batch`` never holds a batch open waiting for company."""
     eng = InferenceEngine(frozen_policy, max_batch=64, timeout_ms=5000)
-    try:
-        rng = np.random.default_rng(0)
-        waits_ms = []
+    rng = np.random.default_rng(0)
+    waits_ms = []
+
+    def scenario():
         for _ in range(5):
             before = eng.stats["queue_wait_ms"]
             future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-            assert future.result(timeout=5).batch_size == 1
+            eng.run_batch()
+            assert future.result().batch_size == 1
             waits_ms.append(eng.stats["queue_wait_ms"] - before)
-        assert eng.stats["batches"] == 5
-        # Only the worker's wake-up separates submit from batch start.
-        assert statistics.median(waits_ms) < 1.0, waits_ms
-    finally:
-        eng.stop()
+
+    _in_loop(scenario)
+    assert eng.stats["batches"] == 5
+    # Nothing but the call itself separates submit from batch start.
+    assert statistics.median(waits_ms) < 1.0, waits_ms
 
 
 def test_coalesces_up_to_max_batch(frozen_policy):
-    """Requests staged before the worker starts ride one batched forward."""
+    """Requests staged before a batch runs ride one batched forward."""
     eng = InferenceEngine(frozen_policy, max_batch=8,
-                          queue_limit=32, timeout_ms=5000, autostart=False)
+                          queue_limit=32, timeout_ms=5000)
     rng = np.random.default_rng(1)
-    futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-               for _ in range(5)]
-    eng.start()
-    sizes = {f.result(timeout=5).batch_size for f in futures}
-    eng.stop()
+
+    def scenario():
+        futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
+                   for _ in range(5)]
+        eng.run_batch()
+        assert eng.pending == 0
+        return futures
+
+    sizes = {f.result().batch_size for f in _in_loop(scenario)}
     assert sizes == {5}
     assert eng.stats["batches"] == 1
     assert eng.stats["completed"] == 5
 
 
 def test_mixed_kinds_share_one_assembly(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8,
-                          timeout_ms=5000, autostart=False)
+    eng = InferenceEngine(frozen_policy, max_batch=8, timeout_ms=5000)
     rng = np.random.default_rng(2)
-    f_ugv = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-    f_uav = eng.submit("uav", _uav_payload(frozen_policy, rng), rng=rng)
-    eng.start()
-    r_ugv = f_ugv.result(timeout=5)
-    r_uav = f_uav.result(timeout=5)
-    eng.stop()
+    f_ugv, f_uav = _staged(eng, [
+        ("ugv", _ugv_payload(frozen_policy, rng), {"rng": rng}),
+        ("uav", _uav_payload(frozen_policy, rng), {"rng": rng})])
+    r_ugv = f_ugv.result()
+    r_uav = f_uav.result()
     assert r_ugv.kind == "ugv" and r_uav.kind == "uav"
     # One assembly, two per-kind forwards of one request each.
     assert eng.stats["batches"] == 1
@@ -89,68 +119,100 @@ def test_mixed_kinds_share_one_assembly(frozen_policy):
 
 
 def test_completed_counts_a_request_before_its_future_resolves(frozen_policy):
-    """A done-callback (run as the future resolves) already sees its own
-    request in ``stats["completed"]``, so a metrics read issued after a
-    response can never miss it."""
-    eng = InferenceEngine(frozen_policy, max_batch=8,
-                          timeout_ms=5000, autostart=False)
+    """A done-callback (which the loop runs once the batch is over)
+    already sees its own request in ``stats["completed"]``, so a metrics
+    read issued after a response can never miss it."""
+    eng = InferenceEngine(frozen_policy, max_batch=8, timeout_ms=5000)
     rng = np.random.default_rng(10)
     seen = {"ugv": [], "uav": []}
-    for kind, payload in (("ugv", _ugv_payload(frozen_policy, rng)),
-                          ("ugv", _ugv_payload(frozen_policy, rng)),
-                          ("uav", _uav_payload(frozen_policy, rng))):
-        future = eng.submit(kind, payload, rng=rng)
-        future.add_done_callback(
-            lambda _f, kind=kind: seen[kind].append(eng.stats["completed"]))
-    eng.start()
-    eng.stop()
-    # The UGV group (2) is counted before either UGV future resolves;
-    # the UAV group's count (3) includes the UGV group before it.
-    assert seen == {"ugv": [2, 2], "uav": [3]}
+
+    def scenario():
+        for kind, payload in (("ugv", _ugv_payload(frozen_policy, rng)),
+                              ("ugv", _ugv_payload(frozen_policy, rng)),
+                              ("uav", _uav_payload(frozen_policy, rng))):
+            future = eng.submit(kind, payload, rng=rng)
+            future.add_done_callback(
+                lambda _f, kind=kind: seen[kind].append(eng.stats["completed"]))
+        eng.run_batch()
+        # Resolving a loop future only schedules its callbacks.
+        assert seen == {"ugv": [], "uav": []}
+
+    _in_loop(scenario)
+    # Both groups (2 UGV + 1 UAV) are counted before any callback runs.
+    assert seen == {"ugv": [3, 3], "uav": [3]}
 
 
 def test_expired_requests_time_out_without_a_forward(frozen_policy):
-    eng = InferenceEngine(frozen_policy, max_batch=8,
-                          timeout_ms=5000, autostart=False)
+    eng = InferenceEngine(frozen_policy, max_batch=8, timeout_ms=5000)
     rng = np.random.default_rng(3)
-    future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng,
-                        timeout_s=0.005)
-    time.sleep(0.05)  # expire while the worker is not yet running
-    eng.start()
+
+    def scenario():
+        future = eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng,
+                            timeout_s=0.005)
+        time.sleep(0.05)  # expire before any batch runs
+        eng.run_batch()
+        return future
+
+    future = _in_loop(scenario)
     with pytest.raises(TimeoutError):
-        future.result(timeout=5)
-    eng.stop()
+        future.result()
     assert eng.stats["timeouts"] == 1
     assert eng.stats["completed"] == 0
 
 
+def test_cancelled_request_is_dropped_without_a_forward(frozen_policy):
+    """A caller that gave up (its future cancelled, as ``wait_for`` does
+    on timeout) costs no forward, and the rest of the batch is served."""
+    eng = InferenceEngine(frozen_policy, max_batch=8, timeout_ms=5000)
+    rng = np.random.default_rng(14)
+
+    def scenario():
+        gone, kept = (eng.submit("ugv", _ugv_payload(frozen_policy, rng),
+                                 rng=rng) for _ in range(2))
+        gone.cancel()
+        eng.run_batch()
+        return kept
+
+    assert _in_loop(scenario).result().batch_size == 1
+    assert eng.stats["batches"] == 1 and eng.stats["completed"] == 1
+
+
 def test_sheds_when_queue_is_full(frozen_policy):
     eng = InferenceEngine(frozen_policy, max_batch=4, queue_limit=2,
-                          timeout_ms=5000, autostart=False)
+                          timeout_ms=5000)
     rng = np.random.default_rng(4)
     payload = _ugv_payload(frozen_policy, rng)
-    eng.submit("ugv", payload, rng=rng)
-    eng.submit("ugv", payload, rng=rng)
-    with pytest.raises(EngineOverloaded):
+
+    def scenario():
         eng.submit("ugv", payload, rng=rng)
+        eng.submit("ugv", payload, rng=rng)
+        with pytest.raises(EngineOverloaded):
+            eng.submit("ugv", payload, rng=rng)
+        eng.stop()
+
+    _in_loop(scenario)
     assert eng.stats["shed"] == 1
-    eng.start()
-    eng.stop()
 
 
 def test_stop_drains_queued_requests(frozen_policy):
     """stop() is a drain: everything already queued still completes."""
     eng = InferenceEngine(frozen_policy, max_batch=4,
-                          queue_limit=32, timeout_ms=5000, autostart=False)
+                          queue_limit=32, timeout_ms=5000)
     rng = np.random.default_rng(5)
-    futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-               for _ in range(6)]
-    eng.start()
-    eng.stop()
-    assert all(f.result(timeout=1).actions.shape ==
+
+    def scenario():
+        futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
+                   for _ in range(6)]
+        eng.stop()
+        return futures
+
+    futures = _in_loop(scenario)
+    assert all(f.result().actions.shape ==
                (frozen_policy.schema["num_ugvs"],) for f in futures)
+    assert eng.stats["batches"] == 2
     with pytest.raises(RuntimeError, match="stopping"):
-        eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
+        _in_loop(lambda: eng.submit("ugv", _ugv_payload(frozen_policy, rng),
+                                    rng=rng))
 
 
 def test_session_rng_isolation(frozen_policy, engine):
@@ -162,11 +224,9 @@ def test_session_rng_isolation(frozen_policy, engine):
         others = [np.random.default_rng(100 + k) for k in range(noise_streams)]
         results = []
         for _ in range(4):
-            futures = [engine.submit("ugv", payload, rng=o) for o in others]
-            futures.append(engine.submit("ugv", payload, rng=rng))
-            results.append(futures[-1].result(timeout=5).actions)
-            for f in futures[:-1]:
-                f.result(timeout=5)
+            futures = _staged(engine, [("ugv", payload, {"rng": o})
+                                       for o in [*others, rng]])
+            results.append(futures[-1].result().actions)
         return np.stack(results)
 
     alone = run(7, noise_streams=0)
@@ -176,7 +236,8 @@ def test_session_rng_isolation(frozen_policy, engine):
 
 def test_greedy_matches_argmax(frozen_policy, engine):
     payload = _ugv_payload(frozen_policy, np.random.default_rng(8))
-    result = engine.submit("ugv", payload, greedy=True).result(timeout=5)
+    (future,) = _staged(engine, [("ugv", payload, {"greedy": True})])
+    result = future.result()
     # Greedy = per-agent argmax over the masked logits for this payload.
     from repro.env.observation import UGVObsArrays
 
@@ -190,15 +251,13 @@ def _serve_staged(policy, kind, payloads):
     """Stage ``payloads`` as one batch (each with a seed-12 rng), run it
     with every warning turned into an error, and return the engine and
     the futures."""
-    eng = InferenceEngine(policy, max_batch=8, timeout_ms=5000,
-                          autostart=False)
-    futures = [eng.submit(kind, payload, rng=np.random.default_rng(12))
-               for payload in payloads]
+    eng = InferenceEngine(policy, max_batch=8, timeout_ms=5000)
     with warnings.catch_warnings():
-        # A RuntimeWarning in the worker would fail the whole group.
+        # A RuntimeWarning in the batch would fail the whole group.
         warnings.simplefilter("error")
-        eng.start()
-        eng.stop()
+        futures = _staged(eng, [(kind, payload,
+                                 {"rng": np.random.default_rng(12)})
+                                for payload in payloads])
     return eng, futures
 
 
@@ -218,8 +277,8 @@ def test_huge_observation_fails_only_its_own_request(frozen_policy):
     _, (alone,) = _serve_staged(frozen_policy, "ugv", [normal])
     eng, (bad, good) = _serve_staged(frozen_policy, "ugv", [huge, normal])
     with pytest.raises(NonFiniteOutput):
-        bad.result(timeout=5)
-    assert good.result(timeout=5).batch_size == 2
+        bad.result()
+    assert good.result().batch_size == 2
     _assert_bitwise(good.result(), alone.result())
     assert eng.stats["completed"] == 1
 
@@ -250,8 +309,8 @@ def test_non_finite_uav_output_fails_only_its_own_request(frozen_policy):
     _, (control, _) = _serve_staged(policy, "uav", [normal, normal])
     eng, (good, bad) = _serve_staged(policy, "uav", [normal, huge])
     with pytest.raises(NonFiniteOutput):
-        bad.result(timeout=5)
-    _assert_bitwise(good.result(timeout=5), control.result())
+        bad.result()
+    _assert_bitwise(good.result(), control.result())
     assert eng.stats["completed"] == 1
 
 
@@ -297,19 +356,24 @@ def test_stage_accounting_on_a_staged_queue(frozen_policy, monkeypatch):
     clock = _SteppedClock()
     monkeypatch.setattr(engine_module, "time", clock)
     policy = _ClockedPolicy(frozen_policy, clock, forward_s=0.25)
-    eng = InferenceEngine(policy, max_batch=8, timeout_ms=60_000,
-                          autostart=False)
+    eng = InferenceEngine(policy, max_batch=8, timeout_ms=60_000)
     rng = np.random.default_rng(9)
-    futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng), rng=rng)
-               for _ in range(3)]
-    clock.now = 1.0
-    futures.append(eng.submit("uav", _uav_payload(frozen_policy, rng), rng=rng))
-    clock.now = 5.0
-    eng.start()
-    for future in futures:
-        future.result(timeout=5)
-    eng.stop()
+
+    def scenario():
+        futures = [eng.submit("ugv", _ugv_payload(frozen_policy, rng),
+                              rng=rng) for _ in range(3)]
+        clock.now = 1.0
+        futures.append(eng.submit("uav", _uav_payload(frozen_policy, rng),
+                                  rng=rng))
+        clock.now = 5.0
+        eng.run_batch()
+        return futures
+
+    results = [future.result() for future in _in_loop(scenario)]
     assert policy.calls == {"ugv": 1, "uav": 1}
     assert eng.stats["batches"] == 1
     assert eng.stats["queue_wait_ms"] == 3 * 5000.0 + 4000.0
     assert eng.stats["forward_ms"] == 2 * 250.0
+    # Each result carries its own wait and its group's forward.
+    assert [(r.queue_ms, r.forward_ms) for r in results] == [
+        (5000.0, 250.0)] * 3 + [(4000.0, 250.0)]

@@ -71,7 +71,6 @@ class _Server:
         # Trigger the same path SIGTERM takes, from the loop's thread.
         self.loop.call_soon_threadsafe(self.service.begin_drain)
         self.thread.join(timeout=15)
-        self.engine.stop()
 
     def connection(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
@@ -521,64 +520,110 @@ def test_bad_request_leaves_other_streams_unchanged(server, frozen_policy,
     conn.close()
 
 
-class _GatedPolicy:
-    """Delegates to a frozen policy, but every forward first waits for
-    ``gate``: the engine stalls inside its forward until the test opens
-    it."""
+# ----------------------------------------------------------------------
+# One loop tick: batching and shedding without a network in between
+# ----------------------------------------------------------------------
 
-    def __init__(self, policy, gate: threading.Event):
+def _act_in_one_tick(policy, k, **engine_kwargs):
+    """Route ``k`` UGV ``/v1/act`` requests into a fresh service so that
+    all of them reach the engine in one loop iteration, before its first
+    batch runs; returns the engine stats and the ``(status, reply)``s."""
+    engine = InferenceEngine(policy, **engine_kwargs)
+
+    async def main():
+        service = DispatchService(policy, engine, port=0)
+        sid = json.loads(service._create_session(b"{}")[2])["session"]
+        body = json.dumps(_ugv_json(policy, sid)).encode()
+        replies = await asyncio.gather(*(
+            service._route("POST", "/v1/act", {}, body) for _ in range(k)))
+        return [(status, json.loads(payload))
+                for status, _, payload, *_ in replies]
+
+    replies = asyncio.run(main())
+    return engine.stats, replies
+
+
+def test_one_tick_of_requests_runs_as_one_batch(frozen_policy):
+    stats, replies = _act_in_one_tick(frozen_policy, 5, max_batch=8,
+                                      timeout_ms=5000)
+    assert [status for status, _ in replies] == [200] * 5
+    assert [reply["batch_size"] for _, reply in replies] == [5] * 5
+    assert stats["batches"] == 1 and stats["completed"] == 5
+
+
+def test_overload_sheds_with_429(frozen_policy):
+    """Twelve requests staged before any batch runs against a queue of
+    four: exactly four are answered (in two batches of two) and eight are
+    shed with 429, with no 5xx."""
+    stats, replies = _act_in_one_tick(frozen_policy, 12, max_batch=2,
+                                      queue_limit=4, timeout_ms=5000)
+    statuses = [status for status, _ in replies]
+    assert sorted(statuses) == [200] * 4 + [429] * 8, replies
+    assert all(reply["error"].startswith("overloaded")
+               for status, reply in replies if status == 429)
+    assert stats["shed"] == 8
+    assert stats["batches"] == 2 and stats["completed"] == 4
+
+
+class _ThreadRecordingPolicy:
+    """Delegates to a frozen policy, recording the thread of each forward."""
+
+    def __init__(self, policy):
         self._policy = policy
-        self._gate = gate
+        self.threads = set()
 
     def __getattr__(self, name):
         return getattr(self._policy, name)
 
     def ugv_forward(self, obs):
-        assert self._gate.wait(timeout=30), "gate never opened"
+        self.threads.add(threading.current_thread())
         return self._policy.ugv_forward(obs)
 
-    def uav_forward(self, grids, aux):
-        assert self._gate.wait(timeout=30), "gate never opened"
-        return self._policy.uav_forward(grids, aux)
 
-
-def test_overload_sheds_with_429(frozen_policy):
-    """With a tiny queue and a stalled forward, extra load sheds as 429."""
-    gate = threading.Event()
-    srv = _Server(_GatedPolicy(frozen_policy, gate), max_batch=2,
-                  queue_limit=2, timeout_ms=5000)
+def test_server_runs_batches_on_its_loop_thread(frozen_policy):
+    """A running server has no engine thread: the forward runs on the
+    event loop's own thread."""
+    policy = _ThreadRecordingPolicy(frozen_policy)
+    srv = _Server(policy, max_batch=8, timeout_ms=5000)
     try:
+        assert "serve-engine" not in {t.name for t in threading.enumerate()}
         conn = srv.connection()
-        status, body = _call(conn, "POST", "/v1/session", b"{}")
-        sid = json.loads(body)["session"]
-        payload = json.dumps(_ugv_json(frozen_policy, sid)).encode()
-
-        results = []
-
-        def fire():
-            c = srv.connection()
-            results.append(_call(c, "POST", "/v1/act", payload)[0])
-            c.close()
-
-        threads = [threading.Thread(target=fire) for _ in range(12)]
-        for t in threads:
-            t.start()
-        # At most max_batch requests sit in the stalled forward and
-        # queue_limit more in the queue; every other one is shed at once.
-        deadline = time.perf_counter() + 20
-        while len(results) < 12 - 2 - 2 and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        gate.set()
-        for t in threads:
-            t.join(timeout=20)
+        sid = json.loads(_call(conn, "POST", "/v1/session", b"{}")[1])[
+            "session"]
+        status, _ = _call(conn, "POST", "/v1/act", json.dumps(
+            _ugv_json(frozen_policy, sid)).encode())
         conn.close()
-        assert results, "no requests completed"
-        assert set(results) <= {200, 429}
-        assert 429 in results, f"nothing shed: {results}"
-        assert 200 in results, f"everything shed: {results}"
+        assert status == 200
+        assert policy.threads == {srv.thread}
     finally:
-        gate.set()
         srv.stop()
+
+
+def test_act_200_carries_server_timing(server, frozen_policy, session_id):
+    """Every /v1/act 200 reports its decode, queue, forward and encode
+    stages in a Server-Timing header; other replies carry none."""
+    _, grids, aux = _probe_arrays(frozen_policy.schema)
+    conn = server.connection()
+    requests = [("/v1/act", json.dumps(_ugv_json(frozen_policy, session_id))
+                 .encode(), "application/json"),
+                (f"/v1/act?session={session_id}&kind=uav",
+                 _npz({"grids": grids, "aux": aux}), "application/x-npz")]
+    for path, body, ctype in requests:
+        conn.request("POST", path, body=body, headers={"Content-Type": ctype})
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status == 200
+        stages = {}
+        for entry in resp.getheader("Server-Timing").split(","):
+            name, _, dur = entry.strip().partition(";dur=")
+            stages[name] = float(dur)
+        assert list(stages) == ["decode", "queue", "forward", "encode"]
+        assert all(value >= 0.0 for value in stages.values()), stages
+    conn.request("GET", "/healthz")
+    resp = conn.getresponse()
+    resp.read()
+    assert resp.getheader("Server-Timing") is None
+    conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ decoded as ``np.load`` decodes them, and everything else refused."""
 
 from __future__ import annotations
 
+import asyncio
 import io
 import struct
 import tracemalloc
@@ -66,13 +67,15 @@ def engine_replies(frozen_policy):
     ugv = (obs.stop_features[0], obs.ugv_positions[0], obs.ugv_stops[0],
            obs.action_mask[0])
     rng = np.random.default_rng(0)
-    try:
-        return [engine.submit(kind, payload, rng=rng, greedy=greedy)
-                .result(timeout=10).fields()
-                for kind, payload in (("ugv", ugv), ("uav", (grids, aux)))
-                for greedy in (True, False)]
-    finally:
+
+    async def replies():
+        futures = [engine.submit(kind, payload, rng=rng, greedy=greedy)
+                   for kind, payload in (("ugv", ugv), ("uav", (grids, aux)))
+                   for greedy in (True, False)]
         engine.stop()
+        return [future.result().fields() for future in futures]
+
+    return asyncio.run(replies())
 
 
 def test_every_engine_reply_round_trips_through_np_load(engine_replies):
