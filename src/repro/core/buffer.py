@@ -198,10 +198,16 @@ class UGVFlatBatch:
 
 @dataclass
 class UAVFlatBatch:
-    """Flat airborne UAV transitions gathered out of a VecUAVRollout."""
+    """Flat index view over a VecUAVRollout's airborne (env, t, uav) rows.
 
-    grids: np.ndarray  # (N, 3, S, S)
-    aux: np.ndarray  # (N, 5)
+    The crops stay in the rollout's dense storage, one copy each:
+    :meth:`crops` gathers a minibatch's rows straight from it.
+    """
+
+    obs: UAVObsArrays  # the rollout's (K, T, V, ...) arrays, by reference
+    env: np.ndarray  # (N,) int
+    t: np.ndarray  # (N,) int
+    uav: np.ndarray  # (N,) int
     actions: np.ndarray  # (N, 2)
     log_probs: np.ndarray  # (N,)
     values: np.ndarray  # (N,)
@@ -210,6 +216,12 @@ class UAVFlatBatch:
 
     def __len__(self) -> int:
         return len(self.log_probs)
+
+    def crops(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(grids, aux)`` of rows ``idxs``: ``(n, 3, S, S)`` and
+        ``(n, 5)``, byte-equal to indexing a full flat gather by ``idxs``."""
+        rows = (self.env[idxs], self.t[idxs], self.uav[idxs])
+        return self.obs.grid[rows], self.obs.aux[rows]
 
 
 class VecUGVRollout:
@@ -332,7 +344,11 @@ class VecUAVRollout:
         self._cursor = t + 1
 
     def flat_samples(self, gamma: float, lam: float) -> UAVFlatBatch:
-        """Per-flight GAE over all (K, V) streams + gathered flat rows."""
+        """Per-flight GAE over all (K, V) streams + flat airborne indices.
+
+        Rows are ordered (env, uav, t); the crops are not copied (see
+        :meth:`UAVFlatBatch.crops`).
+        """
         if self._flat is not None:
             return self._flat
         t = self._cursor
@@ -342,7 +358,7 @@ class VecUAVRollout:
         env_i, uav_i, t_i = np.nonzero(self.valid[:, :t].transpose(0, 2, 1))
         rows = (env_i, t_i, uav_i)
         self._flat = UAVFlatBatch(
-            grids=self.obs.grid[rows], aux=self.obs.aux[rows],
+            obs=self.obs, env=env_i, t=t_i, uav=uav_i,
             actions=self.actions[rows], log_probs=self.log_probs[rows],
             values=self.values[rows], advantages=adv[rows], returns=ret[rows])
         return self._flat

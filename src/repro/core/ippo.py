@@ -649,7 +649,7 @@ class IPPOTrainer:
                     with self._sanitize():
                         with obs_scope("forward"):
                             losses = self._uav_loss_arrays(
-                                flat.grids[idxs], flat.aux[idxs],
+                                *flat.crops(idxs),
                                 flat.actions[idxs], flat.log_probs[idxs],
                                 norm_adv[idxs], flat.values[idxs],
                                 flat.returns[idxs],

@@ -16,6 +16,18 @@ Design notes
   gradients alive until the cyclic collector runs; without the cycle,
   reference counting frees the whole graph as soon as its loss is
   dropped.  ``tests/nn/test_tape_cycles.py`` checks every op.
+* :meth:`Tensor.backward` frees the tape as it walks it.  Once an
+  interior node's (a node with parents) closure has run, the node drops
+  its gradient, its closure and its parent links, so each activation and
+  interior gradient is released as soon as backward has consumed it, and
+  a loss kept after ``backward()`` holds no graph.  Leaves (parameters
+  and inputs created with ``requires_grad``) keep :attr:`Tensor.grad`.
+  A freed node is marked; a later backward that reaches it (the same
+  loss twice, or a new loss built on a freed node) raises
+  ``RuntimeError`` naming the op before it touches any gradient.  There
+  is no ``retain_graph``.  Under :func:`~repro.nn.detect_anomaly` the
+  tape is kept whole, so the sanitizer can still report a second
+  backward through a graph whose inputs an optimiser step has mutated.
 * Broadcasting follows numpy rules; :func:`_unbroadcast` sums gradients
   back down to the shape of the input operand.
 * The engine is eager and single-threaded, which is all the reproduction
@@ -122,6 +134,26 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(value, requires_grad=requires_grad)
 
 
+class _FreedBackward:
+    """Marks an interior node whose closure has run and been released.
+
+    Keeps only the closure's qualified name (e.g.
+    ``Tensor.__mul__.<locals>._backward``), so the error can name the op.
+    """
+
+    __slots__ = ("qualname",)
+
+    def __init__(self, qualname: str):
+        self.qualname = qualname
+
+    def error(self) -> RuntimeError:
+        op = self.qualname.split(".<locals>")[0].rsplit(".", 1)[-1].strip("_")
+        return RuntimeError(
+            f"backward() reached the output of op '{op}', whose "
+            f"graph an earlier backward() already freed; build a new "
+            f"graph (rerun the forward) for each backward")
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff.
 
@@ -148,7 +180,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[Tensor], None] | None = None
+        self._backward: Callable[[Tensor], None] | _FreedBackward | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
         # In-place mutation counter; the anomaly mode compares it (plus a
@@ -259,14 +291,18 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Frees the tape as it goes (see the module notes): after an
+        interior node's closure has run, its gradient, closure and
+        parent links are dropped, outside :func:`detect_anomaly`.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad))
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -278,20 +314,31 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if type(node._backward) is _FreedBackward:
+                raise node._backward.error()
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        self._accumulate(np.asarray(grad))
 
         sanitize = _anomaly._ENABLED
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Popping releases the list's reference, so a node is freed as
+        # soon as its children (run before it) have let go of it.
+        while topo:
+            node = topo.pop()
+            fn = node._backward
+            if fn is not None and node.grad is not None:
                 if sanitize:
                     _anomaly.check_before_backward(node)
-                node._backward(node)
-                if sanitize:
+                    fn(node)
                     _anomaly.check_after_backward(node)
+                else:
+                    fn(node)
+                    node.grad = None
+                    node._prev = ()
+                    node._backward = _FreedBackward(fn.__qualname__)
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -111,6 +111,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
     coverage = prof.coverage()
     print(f"scope coverage: {100.0 * coverage:.1f}% of wall time "
           f"attributed to named scopes")
+    print(f"peak RSS: {prof.peak_rss_mb:.1f} MB")
     return 0
 
 
@@ -128,6 +129,7 @@ def profile_training(run_training_call, profile_dir: str | Path):
         result = run_training_call()
     print()
     print(format_top_table(prof))
+    print(f"peak RSS: {prof.peak_rss_mb:.1f} MB")
     trace_path = write_chrome_trace(profile_dir / "profile_trace.json", prof)
     jsonl_path = write_profile_jsonl(profile_dir / "profile.jsonl", prof)
     print(f"profile written to {trace_path} and {jsonl_path}")

@@ -86,7 +86,9 @@ def write_profile_jsonl(path: str | Path, profiler: Profiler | None = None,
     """Write scope/metric/op aggregates as JSON lines; returns the path.
 
     Line kinds (discriminated by the ``kind`` field): ``meta``,
-    ``scope``, ``counter``, ``gauge``, ``histogram``, ``op``.
+    ``scope``, ``counter``, ``gauge``, ``histogram``, ``op``.  With a
+    profiler, ``meta`` carries the process's ``peak_rss_mb`` and each
+    ``scope`` line its ``rss_rise_mb``.
     """
     lines: list[dict] = []
     meta: dict = {"kind": "meta"}
@@ -94,6 +96,7 @@ def write_profile_jsonl(path: str | Path, profiler: Profiler | None = None,
         meta["wall_seconds"] = profiler.wall_seconds
         meta["attributed_seconds"] = profiler.attributed_seconds
         meta["scope_coverage"] = profiler.coverage()
+        meta["peak_rss_mb"] = profiler.peak_rss_mb
     if ops is not None:
         meta["op_wall_seconds"] = ops.wall_seconds
         meta["op_attributed_seconds"] = ops.total_op_seconds

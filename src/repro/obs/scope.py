@@ -12,7 +12,14 @@ When no profiler is installed every primitive short-circuits on a
 single module-global ``is None`` test (the same trick
 ``repro.nn.tracer`` uses) and ``scope()`` returns one shared do-nothing
 context manager, so the instrumented hot paths cost within run-to-run
-noise (≈0.04% of a smoke iteration, measured at PR 13).
+noise (≈0.04% of a smoke iteration).
+
+While a profiler is installed each scope also reads the process's peak
+resident set size (``getrusage(RUSAGE_SELF).ru_maxrss``) on entry and
+exit, and accumulates the rise of that high-water mark inside it
+(``ScopeStats.rss_rise_mb``); the profiler keeps the peak at its exit
+(``Profiler.peak_rss_mb``).  A memory-hungry stage shows up as the scope
+whose rise is large.
 
 Usage::
 
@@ -63,6 +70,14 @@ def _reset_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):  # not available on all platforms
     os.register_at_fork(after_in_child=_reset_in_child)
+
+
+def _max_rss_kb() -> int:
+    """Peak resident set size of this process so far, in KiB (Linux)."""
+    # Imported here so only profiled runs load the extension module.
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def is_profiling() -> bool:
@@ -132,7 +147,7 @@ class ScopeStats:
     """
 
     __slots__ = ("path", "count", "total_seconds", "child_seconds",
-                 "min_seconds", "max_seconds")
+                 "min_seconds", "max_seconds", "rss_rise_kb")
 
     def __init__(self, path: str):
         self.path = path
@@ -141,6 +156,13 @@ class ScopeStats:
         self.child_seconds = 0.0
         self.min_seconds = float("inf")
         self.max_seconds = 0.0
+        self.rss_rise_kb = 0
+
+    @property
+    def rss_rise_mb(self) -> float:
+        """How far the process's peak RSS rose inside this scope (MB,
+        summed over calls; includes child scopes, like ``total_seconds``)."""
+        return self.rss_rise_kb / 1024.0
 
     @property
     def self_seconds(self) -> float:
@@ -166,6 +188,7 @@ class ScopeStats:
             "self_seconds": self.self_seconds,
             "min_seconds": self.min_seconds if self.count else 0.0,
             "max_seconds": self.max_seconds,
+            "rss_rise_mb": self.rss_rise_mb,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -176,7 +199,7 @@ class ScopeStats:
 class _Scope:
     """Live timing frame for one ``with scope(...)`` entry."""
 
-    __slots__ = ("_prof", "_name", "_path", "_t0", "child_seconds")
+    __slots__ = ("_prof", "_name", "_path", "_t0", "_rss0_kb", "child_seconds")
 
     def __init__(self, prof: "Profiler", name: str):
         self._prof = prof
@@ -191,11 +214,13 @@ class _Scope:
             self._path = self._name
         self.child_seconds = 0.0
         stack.append(self)
+        self._rss0_kb = _max_rss_kb()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = time.perf_counter() - self._t0
+        rss_rise_kb = _max_rss_kb() - self._rss0_kb
         prof = self._prof
         prof._stack.pop()
         stats = prof._stats.get(self._path)
@@ -203,6 +228,7 @@ class _Scope:
             stats = prof._stats[self._path] = ScopeStats(self._path)
         stats.count += 1
         stats.total_seconds += elapsed
+        stats.rss_rise_kb += rss_rise_kb
         stats.child_seconds += self.child_seconds
         if elapsed < stats.min_seconds:
             stats.min_seconds = elapsed
@@ -253,6 +279,8 @@ class Profiler:
         self._origin = time.perf_counter()
         self._attributed_seconds = 0.0
         self.wall_seconds: float | None = None
+        # The process's peak RSS (MB) when the profiler exits.
+        self.peak_rss_mb: float | None = None
 
     # -- installation ---------------------------------------------------
     def __enter__(self) -> "Profiler":
@@ -267,6 +295,7 @@ class Profiler:
         global _ACTIVE
         _ACTIVE = None
         self.wall_seconds = time.perf_counter() - self._origin
+        self.peak_rss_mb = _max_rss_kb() / 1024.0
         return False
 
     # -- introspection --------------------------------------------------

@@ -189,7 +189,9 @@ def test_gc004_fires_when_state_carries_the_tape():
         loss1.backward()
     with trace() as t2:
         loss2 = (carried * 3.0).sum()   # consumes step-1 graph: tape grows
-        loss2.backward()
+        # The engine freed step 1's graph, so it refuses this backward too.
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss2.backward()
     ir1 = build_ir(t1, roots=[loss1])
     ir2 = build_ir(t2, roots=[loss2])
     diags = check_tape_growth(ir1, ir2)

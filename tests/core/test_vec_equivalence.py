@@ -320,6 +320,48 @@ class TestVectorizedTraining:
             for loss in record.losses.values():
                 assert np.isfinite(loss)
 
+    def test_uav_update_feeds_the_flat_copy_byte_for_byte(self, toy_campus,
+                                                           toy_stops, monkeypatch):
+        """``update_uav_vec`` gathers each minibatch's crops from the
+        rollout's storage; they must equal indexing one full flat copy
+        of every airborne crop (``obs.grid[rows][idxs]``) byte for byte."""
+        env, agent = _make_agent(toy_campus, toy_stops, "garl",
+                                 ppo=PPOConfig(epochs=2, minibatch_size=8))
+        trainer = agent.trainer
+        _, uav_roll, *_ = trainer.collect_vec(1, num_envs=2)
+        t = len(uav_roll)
+        env_i, uav_i, t_i = np.nonzero(uav_roll.valid[:, :t].transpose(0, 2, 1))
+        rows = (env_i, t_i, uav_i)
+        full_grids, full_aux = uav_roll.obs.grid[rows], uav_roll.obs.aux[rows]
+
+        flat = uav_roll.flat_samples(trainer.ppo.gamma, trainer.ppo.gae_lambda)
+        crops = flat.crops
+        fed, gathered = [], []
+
+        def recording_crops(idxs):
+            out = crops(idxs)
+            gathered.append((idxs.copy(), out))
+            return out
+
+        loss_arrays = trainer._uav_loss_arrays
+
+        def recording_loss(grids, aux, *rest):
+            fed.append((grids, aux))
+            return loss_arrays(grids, aux, *rest)
+
+        monkeypatch.setattr(flat, "crops", recording_crops)
+        monkeypatch.setattr(trainer, "_uav_loss_arrays", recording_loss)
+        trainer.update_uav_vec(uav_roll)
+
+        assert len(fed) == len(gathered) >= 4
+        for (grids, aux), (idxs, (g, a)) in zip(fed, gathered):
+            assert grids is g and aux is a
+            for got, full in ((grids, full_grids), (aux, full_aux)):
+                want = full[idxs]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous == want.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
     def test_stateful_policy_falls_back_to_sequential(self, toy_campus, toy_stops):
         env, agent = _make_agent(toy_campus, toy_stops, "ic3net")
         history = agent.train(1, episodes_per_iteration=1, num_envs=4)

@@ -97,6 +97,9 @@ class TestJsonl:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[0]["kind"] == "meta"
         assert lines[0]["scope_coverage"] == pytest.approx(prof.coverage())
+        assert lines[0]["peak_rss_mb"] == prof.peak_rss_mb > 0
+        work = next(l for l in lines if l["kind"] == "scope")
+        assert work["path"] == "work" and work["rss_rise_mb"] >= 0.0
         kinds = {l["kind"] for l in lines}
         assert kinds == {"meta", "scope", "counter", "gauge", "histogram", "op"}
         counter = next(l for l in lines if l["kind"] == "counter")

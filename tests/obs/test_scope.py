@@ -1,5 +1,6 @@
 """Scope-timer semantics: paths, partitioning, coverage, installation."""
 
+import importlib
 import time
 
 import pytest
@@ -147,6 +148,35 @@ class TestProfilerLifecycle:
                 pass
         ordered = prof.sorted_stats("self_seconds")
         assert ordered[0].path == "slow"
+
+
+class TestPeakRss:
+    def test_rise_is_the_high_water_growth_inside_each_scope(self, monkeypatch):
+        # ``repro.obs.scope`` the attribute is the function; get the module.
+        scope_module = importlib.import_module("repro.obs.scope")
+        # A scripted ru_maxrss (KiB): each read returns the next.
+        reads = iter([100, 100, 1124, 1124, 3172, 3172, 6344])
+        monkeypatch.setattr(scope_module, "_max_rss_kb", lambda: next(reads))
+        with Profiler() as prof:
+            with scope("update"):          # reads 100 ... 3172
+                with scope("ugv"):         # reads 100 ... 1124
+                    pass
+                with scope("ugv"):         # reads 1124 ... 3172
+                    pass
+        # ... and 6344 when the profiler exits.
+        assert prof.stats["update/ugv"].rss_rise_mb == pytest.approx(3.0)
+        assert prof.stats["update"].rss_rise_mb == pytest.approx(3.0)
+        assert prof.peak_rss_mb == pytest.approx(6.195, abs=1e-3)
+        assert prof.stats["update"].as_dict()["rss_rise_mb"] == pytest.approx(3.0)
+
+    def test_real_peak_is_read_at_exit(self):
+        prof = Profiler()
+        assert prof.peak_rss_mb is None
+        with prof:
+            with scope("work"):
+                pass
+        assert prof.peak_rss_mb > 1.0
+        assert prof.stats["work"].rss_rise_mb >= 0.0
 
 
 class TestMetricHelpers:

@@ -515,9 +515,11 @@ def test_bad_request_leaves_other_streams_unchanged(server, frozen_policy,
                 assert 400 <= _call(conn, "POST", path, body, ctype)[0] < 500
         return out
 
-    control = actions(with_bad_request=False)
-    assert actions(with_bad_request=True) == control
-    conn.close()
+    try:
+        control = actions(with_bad_request=False)
+        assert actions(with_bad_request=True) == control
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -650,6 +652,14 @@ def _spawn_serve(args: list[str], tmp_path: Path):
     return proc, host, int(port)
 
 
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` if it still runs, wait for it and close its pipe."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+    proc.stdout.close()
+
+
 def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
                                            tmp_path):
     """SIGTERM mid-traffic: the in-flight request completes, new work is
@@ -658,8 +668,8 @@ def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
     proc, host, port = _spawn_serve(
         [str(SERVE_TESTS / "slow_serve.py"), "0.5", str(artifact_dir),
          "--timeout-ms", "5000"], tmp_path)
+    conn = http.client.HTTPConnection(host, port, timeout=20)
     try:
-        conn = http.client.HTTPConnection(host, port, timeout=20)
         status, body = _call(conn, "POST", "/v1/session", b"{}")
         assert status == 200
         sid = json.loads(body)["session"]
@@ -688,9 +698,8 @@ def test_sigterm_drains_in_flight_requests(artifact_dir, frozen_policy,
             fresh.request("GET", "/healthz")
             fresh.getresponse()
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+        conn.close()
+        _reap(proc)
 
 
 # ----------------------------------------------------------------------
@@ -710,12 +719,11 @@ def test_many_keepalive_streams_all_answered(artifact_dir, tmp_path):
                                        requests_per_stream=3, ramp_s=3.0))
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=60)
+        output = proc.stdout.read()
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+        _reap(proc)
     assert summary["completed"] == 200 * 3, summary
     assert summary["shed"] == summary["timeouts"] == 0, summary
     assert summary["connect_errors"] == 0 and not summary["errors"], summary
     assert summary["latency_ms"]["p99"] < 500.0, summary
-    assert rc == 0, proc.stdout.read()
+    assert rc == 0, output
