@@ -8,7 +8,7 @@ Three pillars, one ``repro check`` meta-command (:mod:`.check`):
   static-analysis pass with two rule families.  The RL rules target the
   classic failure modes of this codebase: silent ``Tensor.data``
   mutation, raw ``np.*`` calls that escape the autograd graph, rollouts
-  missing ``no_grad()``, float32 drift into the float64 engine, backward
+  missing ``no_grad()``, half precision in the float32 models, backward
   closures capturing loop variables, bare asserts in hot paths,
   optimizer steps without ``zero_grad()``, unguarded reciprocals, and
   tensors parked on ``self`` across timesteps without ``detach()``.  The

@@ -229,22 +229,22 @@ def check_missing_no_grad(tree: ast.AST, ctx: Context):
 
 
 # ----------------------------------------------------------------------
-# RL004 — float32-drift
+# RL004 — half-precision
 # ----------------------------------------------------------------------
-_F32_ATTRS = {"float32", "float16", "half", "single"}  # reprolint: disable=RL004
+_HALF_ATTRS = {"float16", "half"}  # reprolint: disable=RL004
 
 
-def check_float32_drift(tree: ast.AST, ctx: Context):
+def check_half_precision(tree: ast.AST, ctx: Context):
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in _F32_ATTRS
+        if (isinstance(node, ast.Attribute) and node.attr in _HALF_ATTRS
                 and isinstance(node.value, ast.Name)
                 and node.value.id in _NP_MODULES):
-            yield (node, f"`np.{node.attr}` mixes reduced precision into the "
-                         f"float64 engine; gradients silently lose precision "
-                         f"when arrays are promoted back")
-        elif isinstance(node, ast.Constant) and node.value in ("float32", "float16"):  # reprolint: disable=RL004
-            yield (node, f"dtype literal {node.value!r} mixes reduced precision "
-                         f"into the float64 engine")
+            yield (node, f"`np.{node.attr}` mixes half precision into the "
+                         f"float32 models; gradients and Adam state lose "
+                         f"precision when arrays are promoted back")
+        elif isinstance(node, ast.Constant) and node.value in ("float16", "half"):  # reprolint: disable=RL004
+            yield (node, f"dtype literal {node.value!r} mixes half precision "
+                         f"into the float32 models")
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +433,9 @@ RULES: list[Rule] = [
     Rule("RL003", "missing-no-grad",
          "Evaluation/rollout functions that call policies without no_grad()",
          check_missing_no_grad, src_only=True),
-    Rule("RL004", "float32-drift",
-         "Reduced-precision dtypes mixed into the float64 engine",
-         check_float32_drift, src_only=True),
+    Rule("RL004", "half-precision",
+         "Half-precision dtypes mixed into the float32 models",
+         check_half_precision, src_only=True),
     Rule("RL005", "backward-loop-capture",
          "Backward closures capturing loop variables by late binding",
          check_backward_loop_capture, src_only=False),

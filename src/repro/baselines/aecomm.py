@@ -39,7 +39,7 @@ class AECommUGVPolicy(BatchedUGVPolicyMixin, Module):
 
     def _latents(self, observations) -> Tensor:
         flats = np.stack([obs.flat() for obs in observations])
-        return self.encoder(Tensor(flats)).tanh()  # (U, D)
+        return self.encoder(Tensor(flats.astype(self.dtype))).tanh()  # (U, D)
 
     def forward(self, observations) -> UGVPolicyOutput:
         latents = self._latents(observations)

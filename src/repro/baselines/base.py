@@ -64,9 +64,9 @@ class NodeScorer(Module):
         self.net = MLP([node_dim + cond_dim, hidden, 1], rng=rng, final_gain=0.01)
 
     def forward(self, stop_features: np.ndarray, cond: Tensor) -> Tensor:
-        nodes = Tensor(np.asarray(stop_features, dtype=float))  # (B, 3)
+        nodes = Tensor(np.asarray(stop_features, dtype=self.dtype))  # (B, 3)
         b = nodes.shape[0]
-        cond_rows = cond.reshape(1, -1) + Tensor(np.zeros((b, cond.shape[-1])))
+        cond_rows = cond.reshape(1, -1) + np.zeros((b, cond.shape[-1]))
         return self.net(Tensor.concat([nodes, cond_rows], axis=-1)).squeeze(-1)
 
 
@@ -76,7 +76,7 @@ def assemble_output(stop_scores: list[Tensor], release_logits: list[Tensor],
     rows = []
     for scores, release, obs in zip(stop_scores, release_logits, observations):
         row = Tensor.concat([scores, release.reshape(1)], axis=0)
-        rows.append(row + Tensor(np.where(obs.action_mask, 0.0, -1e9)))
+        rows.append(row + np.where(obs.action_mask, 0.0, -1e9))
     logits = Tensor.stack(rows, axis=0)
     value_vec = Tensor.stack([v.reshape(()) for v in values], axis=0)
     return UGVPolicyOutput(logits, value_vec)

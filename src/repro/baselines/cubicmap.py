@@ -67,7 +67,7 @@ class CubicMapUGVPolicy(BatchedUGVPolicyMixin, Module):
 
     def forward(self, observations) -> UGVPolicyOutput:
         images = np.stack([self._rasterize(obs) for obs in observations])
-        x = self.conv1(Tensor(images)).relu()
+        x = self.conv1(Tensor(images.astype(self.dtype))).relu()
         x = self.conv2(x).relu()
         encoded = self.encoder(x.reshape(x.shape[0], -1)).tanh()  # (U, D)
 

@@ -38,7 +38,7 @@ class DGNUGVPolicy(BatchedUGVPolicyMixin, Module):
 
     def forward(self, observations) -> UGVPolicyOutput:
         flats = np.stack([obs.flat() for obs in observations])
-        h = self.encoder(Tensor(flats)).tanh()  # (U, D)
+        h = self.encoder(Tensor(flats.astype(self.dtype))).tanh()  # (U, D)
         for block in self.blocks:
             h = (h + block(h)).relu()  # residual relational block
 

@@ -13,7 +13,7 @@ from ..core.config import GARLConfig
 from ..core.policies import UGVPolicyOutput, bias_release_head
 from ..env.airground import AirGroundEnv
 from ..maps.stop_graph import StopGraph
-from ..nn import MLP, GCNLayer, Linear, LSTMCell, Module, Tensor, normalized_laplacian
+from ..nn import DTYPE, MLP, GCNLayer, Linear, LSTMCell, Module, Tensor, normalized_laplacian
 from .base import BatchedUGVPolicyMixin, PolicyAgent, assemble_output
 
 __all__ = ["GAMUGVPolicy", "GAMAgent"]
@@ -26,7 +26,7 @@ class GAMUGVPolicy(BatchedUGVPolicyMixin, Module):
                  rng: np.random.Generator | None = None, layers: int = 2, top_k: int = 8):
         super().__init__()
         rng = rng or np.random.default_rng(config.seed)
-        self.laplacian = normalized_laplacian(stops.adjacency_matrix())
+        self.laplacian = normalized_laplacian(stops.adjacency_matrix()).astype(DTYPE)
         self.top_k = min(top_k, stops.num_stops)
         dim = config.hidden_dim
         dims = [3] + [dim] * layers
@@ -60,7 +60,7 @@ class GAMUGVPolicy(BatchedUGVPolicyMixin, Module):
     def forward(self, observations) -> UGVPolicyOutput:
         scores, releases, values = [], [], []
         for obs in observations:
-            h = Tensor(np.asarray(obs.stop_features, dtype=float))
+            h = Tensor(np.asarray(obs.stop_features, dtype=self.dtype))
             for layer in self.gcn_layers:
                 h = layer(h, self.laplacian)
             summary = self._traverse(h)

@@ -38,7 +38,7 @@ class GATUGVPolicy(BatchedUGVPolicyMixin, Module):
     def forward(self, observations) -> UGVPolicyOutput:
         scores, releases, values = [], [], []
         for obs in observations:
-            h = Tensor(np.asarray(obs.stop_features, dtype=float))
+            h = Tensor(np.asarray(obs.stop_features, dtype=self.dtype))
             for layer in self.gat_layers:
                 h = layer(h, self.adjacency)
             pooled = h.mean(axis=0)

@@ -52,9 +52,9 @@ class GreedyUGVPolicy(Module):
                 logits[b] = _CHOSEN  # release here
             else:
                 logits[best_stop] = _CHOSEN
-            rows.append(Tensor(logits))
+            rows.append(Tensor(logits.astype(self.dtype)))
         return UGVPolicyOutput(Tensor.stack(rows, axis=0),
-                               Tensor(np.zeros(len(observations))))
+                               Tensor(np.zeros(len(observations), dtype=self.dtype)))
 
 
 class GreedyUAVPolicy(Module):
@@ -80,9 +80,10 @@ class GreedyUAVPolicy(Module):
 
     def forward(self, observations):
         means = [self._movement(obs) for obs in observations]
-        mean = Tensor(np.asarray(means))
-        log_std = Tensor(np.full(2, -3.0))  # near-deterministic
-        return DiagGaussian(mean, log_std), Tensor(np.zeros(len(observations)))
+        mean = Tensor(np.asarray(means, dtype=self.dtype))
+        log_std = Tensor(np.full(2, -3.0, dtype=self.dtype))  # near-deterministic
+        return DiagGaussian(mean, log_std), Tensor(np.zeros(len(observations),
+                                                            dtype=self.dtype))
 
     @staticmethod
     def _dilate(obstacles: np.ndarray) -> np.ndarray:

@@ -70,8 +70,8 @@ class IC3NetUGVPolicy(Module):
 
     def set_extra_state(self, extra: dict) -> None:
         if extra:
-            self._state = (Tensor(np.asarray(extra["h"], dtype=float)),
-                           Tensor(np.asarray(extra["c"], dtype=float)))
+            self._state = (Tensor(np.asarray(extra["h"], dtype=self.dtype)),
+                           Tensor(np.asarray(extra["c"], dtype=self.dtype)))
         else:
             self._state = None
         self._state_cache.clear()
@@ -91,7 +91,7 @@ class IC3NetUGVPolicy(Module):
     def forward(self, observations) -> UGVPolicyOutput:
         u = len(observations)
         flats = np.stack([obs.flat() for obs in observations])
-        encoded = self.encoder(Tensor(flats)).tanh()  # (U, D)
+        encoded = self.encoder(Tensor(flats.astype(self.dtype))).tanh()  # (U, D)
 
         h_in, c_in = self._incoming_state(observations)
 

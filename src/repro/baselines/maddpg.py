@@ -26,10 +26,15 @@ import numpy as np
 from ..core.config import GARLConfig
 from ..env.airground import AirGroundEnv
 from ..env.metrics import MetricSnapshot
-from ..nn import MLP, Adam, Module, Tensor, no_grad
+from ..nn import DTYPE, MLP, Adam, Module, Tensor, no_grad
 from ..nn import functional as F
 
 __all__ = ["MADDPGAgent"]
+
+
+def _const(array) -> Tensor:
+    """A replay or observation array as a graph constant in the model dtype."""
+    return Tensor(np.asarray(array, dtype=DTYPE))
 
 
 def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
@@ -77,10 +82,10 @@ class _ActorPolicyAdapter(Module):
         from ..core.policies import UGVPolicyOutput
 
         flats = np.stack([o.flat() for o in observations])
-        logits = self.actor(Tensor(flats))
+        logits = self.actor(_const(flats))
         masks = np.stack([o.action_mask for o in observations])
-        masked = logits + Tensor(np.where(masks, 0.0, -1e9))
-        return UGVPolicyOutput(masked, Tensor(np.zeros(len(observations))))
+        masked = logits + np.where(masks, 0.0, -1e9)
+        return UGVPolicyOutput(masked, Tensor(np.zeros(len(observations), dtype=DTYPE)))
 
 
 class _Critic(Module):
@@ -158,7 +163,7 @@ class MADDPGAgent:
     def _ugv_act(self, observations, explore: bool) -> np.ndarray:
         flats = np.stack([o.flat() for o in observations])
         with no_grad():
-            logits = self.ugv_actor(Tensor(flats)).numpy()
+            logits = self.ugv_actor(_const(flats)).numpy()
         masks = np.stack([o.action_mask for o in observations])
         logits = np.where(masks, logits, -1e9)
         actions = logits.argmax(axis=-1)
@@ -175,7 +180,7 @@ class MADDPGAgent:
 
     def _uav_act(self, obs_flat: np.ndarray, explore: bool) -> np.ndarray:
         with no_grad():
-            action = self.uav_actor(Tensor(obs_flat[None])).numpy()[0]
+            action = self.uav_actor(_const(obs_flat[None])).numpy()[0]
         if explore:
             action = np.clip(action + self.rng.normal(0, self.noise_std, 2), -1, 1)
         return action
@@ -255,9 +260,9 @@ class MADDPGAgent:
     def _actions_for(self, actor: Module, obs: np.ndarray, masks_ok: bool = True) -> Tensor:
         """Differentiable Gumbel-softmax action probabilities per agent."""
         u = self.num_ugvs
-        logits = actor(Tensor(obs.reshape(-1, self.obs_dim)))
+        logits = actor(_const(obs.reshape(-1, self.obs_dim)))
         noise = _gumbel(self.rng, logits.shape)
-        return ((logits + Tensor(noise)) / self.gumbel_tau).softmax(axis=-1)
+        return ((logits + _const(noise)) / self.gumbel_tau).softmax(axis=-1)
 
     def _update_ugv(self) -> dict[str, float]:
         if len(self.ugv_buffer) < self.batch_size:
@@ -285,14 +290,14 @@ class MADDPGAgent:
                 next_obs.reshape(len(batch), -1),
                 next_probs.reshape(len(batch), -1),
                 onehot_agents], axis=-1)
-            q_next = self.ugv_critic_target(Tensor(target_in)).numpy()
+            q_next = self.ugv_critic_target(_const(target_in)).numpy()
         target = rewards + self.gamma * (1.0 - dones) * q_next
 
         critic_in = np.concatenate([
             obs.reshape(len(batch), -1),
             action_onehots.reshape(len(batch), -1),
             onehot_agents], axis=-1)
-        q = self.ugv_critic(Tensor(critic_in))
+        q = self.ugv_critic(_const(critic_in))
         critic_loss = F.mse_loss(q, target)
         self.opt_ugv_critic.zero_grad()
         critic_loss.backward()
@@ -301,14 +306,14 @@ class MADDPGAgent:
         # Actor: ascend Q with own action replaced by the differentiable one.
         probs = self._actions_for(self.ugv_actor, obs)  # (N*U, A)
         probs = probs.reshape(len(batch), u, self.action_dim)
-        fixed = Tensor(action_onehots)
+        fixed = _const(action_onehots)
         own_mask = np.zeros((len(batch), u, 1))
         own_mask[np.arange(len(batch)), agents, 0] = 1.0
-        mixed = Tensor(1.0 - own_mask) * fixed + Tensor(own_mask) * probs
+        mixed = _const(1.0 - own_mask) * fixed + _const(own_mask) * probs
         actor_in = Tensor.concat([
-            Tensor(obs.reshape(len(batch), -1)),
+            _const(obs.reshape(len(batch), -1)),
             mixed.reshape(len(batch), -1),
-            Tensor(onehot_agents)], axis=-1)
+            _const(onehot_agents)], axis=-1)
         actor_loss = -self.ugv_critic(actor_in).mean()
         self.opt_ugv_actor.zero_grad()
         actor_loss.backward()
@@ -331,19 +336,19 @@ class MADDPGAgent:
         dones = np.array([b["done"] for b in batch], dtype=float)
 
         with no_grad():
-            next_actions = self.uav_actor_target(Tensor(next_obs)).numpy()
+            next_actions = self.uav_actor_target(_const(next_obs)).numpy()
             q_next = self.uav_critic_target(
-                Tensor(np.concatenate([next_obs, next_actions], axis=-1))).numpy()
+                _const(np.concatenate([next_obs, next_actions], axis=-1))).numpy()
         target = rewards + self.gamma * (1.0 - dones) * q_next
 
-        q = self.uav_critic(Tensor(np.concatenate([obs, actions], axis=-1)))
+        q = self.uav_critic(_const(np.concatenate([obs, actions], axis=-1)))
         critic_loss = F.mse_loss(q, target)
         self.opt_uav_critic.zero_grad()
         critic_loss.backward()
         self.opt_uav_critic.step()
 
-        pred_actions = self.uav_actor(Tensor(obs))
-        actor_in = Tensor.concat([Tensor(obs), pred_actions], axis=-1)
+        pred_actions = self.uav_actor(_const(obs))
+        actor_in = Tensor.concat([_const(obs), pred_actions], axis=-1)
         actor_loss = -self.uav_critic(actor_in).mean()
         self.opt_uav_actor.zero_grad()
         actor_loss.backward()

@@ -19,9 +19,10 @@ class RandomUGVPolicy(Module):
     """Uniform logits over feasible UGV actions; zero values."""
 
     def forward(self, observations) -> UGVPolicyOutput:
-        rows = [Tensor(np.where(obs.action_mask, 0.0, -1e9)) for obs in observations]
+        rows = [Tensor(np.where(obs.action_mask, 0.0, -1e9).astype(self.dtype))
+                for obs in observations]
         logits = Tensor.stack(rows, axis=0)
-        values = Tensor(np.zeros(len(observations)))
+        values = Tensor(np.zeros(len(observations), dtype=self.dtype))
         return UGVPolicyOutput(logits, values)
 
 
@@ -30,9 +31,9 @@ class RandomUAVPolicy(Module):
 
     def forward(self, observations):
         n = len(observations)
-        mean = Tensor(np.zeros((n, 2)))
-        log_std = Tensor(np.zeros(2))  # std 1.0 in normalised units
-        return DiagGaussian(mean, log_std), Tensor(np.zeros(n))
+        mean = Tensor(np.zeros((n, 2), dtype=self.dtype))
+        log_std = Tensor(np.zeros(2, dtype=self.dtype))  # std 1.0 in normalised units
+        return DiagGaussian(mean, log_std), Tensor(np.zeros(n, dtype=self.dtype))
 
 
 class RandomAgent:

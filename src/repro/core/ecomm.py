@@ -64,10 +64,10 @@ class ECommLayer(Module):
 
         # Eqn. (26): softmax over exp(1/||r||), masked to neighbours.
         if self.uniform_weights:
-            alpha = Tensor(np.where(eye, 0.0, 1.0 / (u - 1)))
+            alpha = Tensor(np.where(eye, 0.0, 1.0 / (u - 1)).astype(h.dtype))
         else:
             inv = 1.0 / (norms + 1e-6)
-            logits = inv + Tensor(np.where(eye, -1e9, 0.0))
+            logits = inv + np.where(eye, -1e9, 0.0)
             alpha = annotate(logits.softmax(axis=-1), "EComm.alpha")  # (U, U)
 
         # Eqn. (27): invariant message aggregation.
@@ -117,9 +117,10 @@ def _layer_forward(layer: ECommLayer, h: np.ndarray,
     norms = ((r * r).sum(axis=-1) + 1e-8) ** 0.5  # (P, U, U)
     eye = np.eye(u, dtype=bool)
     if layer.uniform_weights:
-        alpha = np.broadcast_to(np.where(eye, 0.0, 1.0 / (u - 1)), norms.shape)
+        alpha = np.broadcast_to(np.where(eye, 0.0, 1.0 / (u - 1)).astype(h.dtype),
+                                norms.shape)
     else:
-        logits = 1.0 / (norms + 1e-6) + np.where(eye, -1e9, 0.0)
+        logits = 1.0 / (norms + 1e-6) + np.where(eye, -1e9, 0.0).astype(h.dtype)
         exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
         alpha = exp / exp.sum(axis=-1, keepdims=True)  # (P, U, U)
 
@@ -207,8 +208,8 @@ def ecomm_fused(h: Tensor, positions: np.ndarray, stop_positions: np.ndarray,
     parents are ``h`` and every E-Comm parameter, and the backward is
     written by hand, layer by layer in reverse.
     """
-    stops = np.asarray(stop_positions, dtype=float)
-    x, g = h.data, np.asarray(positions, dtype=float)
+    stops = np.asarray(stop_positions, dtype=h.dtype)
+    x, g = h.data, np.asarray(positions, dtype=h.dtype)
     saved = []
     for layer in layers:
         x, g, kept = _layer_forward(layer, x, g)
@@ -282,13 +283,13 @@ class EComm(Module):
             scores ``(U, B)`` and final geometric targets ``(U, 2)``.
         """
         h = features
-        g = Tensor(np.asarray(positions, dtype=float))
+        g = Tensor(np.asarray(positions, dtype=features.dtype))
         for layer in self.layers:
             h, g = layer(h, g)
 
         # Eqn. (30a): z^u_b = x_b^T W_3 g_u — affinity of stop b to the
         # learned target position of UGV u.
-        stops = Tensor(np.asarray(stop_positions, dtype=float))  # (B, 2)
+        stops = Tensor(np.asarray(stop_positions, dtype=features.dtype))  # (B, 2)
         z = self.w3(stops) @ g.transpose()  # (B, U)
         z = z.transpose()  # (U, B)
 

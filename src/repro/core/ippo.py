@@ -442,10 +442,11 @@ class IPPOTrainer:
         logp = Tensor.concat(log_ratios, axis=0)
         entropy = Tensor.concat(entropies, axis=0)
         value = Tensor.concat(values, axis=0)
-        old_logp_arr = np.array(old_logp)
-        old_value_arr = np.array(old_values)
-        adv = np.array(adv_list)
-        ret = np.array(ret_list)
+        # Loss constants in the model dtype, so they never promote it.
+        old_logp_arr = np.array(old_logp, dtype=value.dtype)
+        old_value_arr = np.array(old_values, dtype=value.dtype)
+        adv = np.array(adv_list, dtype=value.dtype)
+        ret = np.array(ret_list, dtype=value.dtype)
 
         ratio = (logp - Tensor(old_logp_arr)).exp()
         surr1 = ratio * Tensor(adv)
@@ -528,10 +529,11 @@ class IPPOTrainer:
         entropy = sub_dist.entropy()
         value = out.values[inverse, agent_b]
 
-        old_logp = flat.log_probs[batch_idx]
-        old_value = flat.values[batch_idx]
-        adv = norm_adv[batch_idx]
-        ret = flat.returns[batch_idx]
+        # Loss constants in the model dtype, so they never promote it.
+        old_logp = flat.log_probs[batch_idx].astype(value.dtype)
+        old_value = flat.values[batch_idx].astype(value.dtype)
+        adv = norm_adv[batch_idx].astype(value.dtype)
+        ret = flat.returns[batch_idx].astype(value.dtype)
 
         ratio = (logp - Tensor(old_logp)).exp()
         surr1 = ratio * Tensor(adv)
@@ -567,6 +569,9 @@ class IPPOTrainer:
         """
         ppo = self.ppo
         dist, value = self.uav_policy.forward_arrays(grids, aux)
+        old_logp, adv, old_value, ret, entropy_coef = (
+            np.asarray(a, dtype=value.dtype)
+            for a in (old_logp, adv, old_value, ret, entropy_coef))
         logp = dist.log_prob(actions)
         ratio = (logp - Tensor(old_logp)).exp()
         adv_t = Tensor(adv)
@@ -597,6 +602,8 @@ class IPPOTrainer:
         """
         ppo = self.ppo
         dist, value = self.uav_policy([s.observation for s in batch])
+        old_logp, adv, old_value, ret = (np.asarray(a, dtype=value.dtype)
+                                         for a in (old_logp, adv, old_value, ret))
         logp = dist.log_prob(actions)
         ratio = (logp - Tensor(old_logp)).exp()
         adv_t = Tensor(adv)
@@ -653,8 +660,7 @@ class IPPOTrainer:
                                 flat.actions[idxs], flat.log_probs[idxs],
                                 norm_adv[idxs], flat.values[idxs],
                                 flat.returns[idxs],
-                                np.asarray(self._entropy_coef,
-                                           dtype=np.float64))
+                                np.asarray(self._entropy_coef))
                         pl, vl = self._uav_apply(*losses)
                     policy_losses.append(pl)
                     value_losses.append(vl)
@@ -697,8 +703,7 @@ class IPPOTrainer:
                                 losses = self._uav_loss_arrays(
                                     grids, aux, actions, old_logp,
                                     norm_adv[idxs], old_value, ret,
-                                    np.asarray(self._entropy_coef,
-                                               dtype=np.float64))
+                                    np.asarray(self._entropy_coef))
                             else:
                                 losses = self._uav_loss_list(
                                     batch, actions, old_logp,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..maps.stop_graph import StopGraph
-from ..nn import GCNLayer, Linear, Module, Parameter, Tensor, annotate, normalized_laplacian
+from ..nn import DTYPE, GCNLayer, Linear, Module, Parameter, Tensor, annotate, normalized_laplacian
 from ..nn.init import xavier_uniform
 from .config import GARLConfig
 
@@ -128,8 +128,10 @@ class MCGCN(Module):
         rng = rng or np.random.default_rng(config.seed)
         self.config = config
         self.num_stops = stops.num_stops
-        self.laplacian = normalized_laplacian(stops.adjacency_matrix())
-        self.correlation = stops.structural_correlation(config.structural_q)
+        # Constants of every forward, kept in the model dtype so they
+        # never promote a float32 graph.
+        self.laplacian = normalized_laplacian(stops.adjacency_matrix()).astype(DTYPE)
+        self.correlation = stops.structural_correlation(config.structural_q).astype(DTYPE)
 
         dim = config.hidden_dim
         dims = [in_features] + [dim] * config.mc_gcn_layers
@@ -182,7 +184,7 @@ class MCGCN(Module):
             UGV-specific feature ``(hidden,)``.
         """
         other_stops = np.asarray(other_stops, dtype=int)
-        h = Tensor(np.asarray(stop_features, dtype=float))
+        h = Tensor(np.asarray(stop_features, dtype=self.dtype))
         use_mc = self.config.use_mc_gcn
         structural = (multi_center_structural_feature(self.correlation, own_stop, other_stops)
                       if use_mc else None)
@@ -225,7 +227,7 @@ class MCGCN(Module):
             raise ValueError(f"other_stops must be (N, M), got {other_stops.shape}")
         n = own_stops.shape[0]
         rows = np.arange(n)
-        h = Tensor(np.asarray(stop_features, dtype=float))
+        h = Tensor(np.asarray(stop_features, dtype=self.dtype))
         use_mc = self.config.use_mc_gcn
         if use_mc:
             structural = self.correlation[own_stops]  # (N, B)

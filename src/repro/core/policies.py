@@ -15,6 +15,7 @@ import numpy as np
 from ..env.observation import UAVObservation, UGVObsArrays, UGVObservation
 from ..maps.stop_graph import StopGraph
 from ..nn import (
+    DTYPE,
     MLP,
     Categorical,
     Conv2d,
@@ -83,14 +84,14 @@ class UGVPolicy(Module):
         self.node_head = Linear(dim, 1, rng=rng, init="orthogonal", gain=0.01)
         # Mixing weight for the E-Comm preference scores z; only exists
         # when E-Comm produces a z (graphcheck GC002 flags it otherwise).
-        self.z_scale = Parameter(np.array([0.1])) if config.use_ecomm else None
+        self.z_scale = Parameter(np.full(1, 0.1, dtype=DTYPE)) if config.use_ecomm else None
         # Release logit and value from the compact feature h.
         self.release_head = MLP([dim, dim, 1], rng=rng, final_gain=0.01)
         bias_release_head(self.release_head)
         self.value_head = MLP([dim, dim, 1], rng=rng, final_gain=1.0)
         # Coordinates are normalised by the workzone extent inside forward.
         self._extent = float(max(stops.positions[:, 0].max(), stops.positions[:, 1].max(), 1.0))
-        self._norm_stop_positions = stops.positions / self._extent
+        self._norm_stop_positions = (stops.positions / self._extent).astype(DTYPE)
 
     def forward(self, observations: list[UGVObservation]) -> UGVPolicyOutput:
         """Joint forward for the whole coalition (needed by E-Comm)."""
@@ -119,8 +120,7 @@ class UGVPolicy(Module):
                 stop_scores = stop_scores + self.z_scale * z[u]
             release = self.release_head(h_final[u])  # (1,)
             row = Tensor.concat([stop_scores, release], axis=0)  # (B+1,)
-            mask_penalty = np.where(obs.action_mask, 0.0, -1e9)
-            logits_rows.append(row + Tensor(mask_penalty))
+            logits_rows.append(row + np.where(obs.action_mask, 0.0, -1e9))
         logits = Tensor.stack(logits_rows, axis=0)
         values = self.value_head(h_final).squeeze(-1)
         return UGVPolicyOutput(logits, values)
@@ -163,7 +163,7 @@ class UGVPolicy(Module):
             stop_scores = stop_scores + self.z_scale * z
         release = self.release_head(h_final)  # (P, U, 1)
         rows = Tensor.concat([stop_scores, release], axis=-1)  # (P, U, B+1)
-        logits = rows + Tensor(np.where(obs.action_mask, 0.0, -1e9))
+        logits = rows + np.where(obs.action_mask, 0.0, -1e9)
         values = self.value_head(h_final).squeeze(-1)  # (P, U)
         return UGVPolicyOutput(logits, values)
 
@@ -205,15 +205,15 @@ class UAVPolicy(Module):
         self.trunk = MLP([flat + aux_dim, dim], rng=rng, final_gain=1.0)
         self.mean_head = MLP([dim, 2], rng=rng, final_gain=0.01)
         self.value_head = MLP([dim, 1], rng=rng, final_gain=1.0)
-        self.log_std = Parameter(np.full(2, -0.5))
+        self.log_std = Parameter(np.full(2, -0.5, dtype=DTYPE))
 
     def features(self, grids: np.ndarray, aux: np.ndarray) -> Tensor:
         """Shared conv-trunk embedding of grid + aux observation arrays."""
-        x = Tensor(np.asarray(grids, dtype=float))
+        x = Tensor(np.asarray(grids, dtype=self.dtype))
         x = self.conv1(x).relu()
         x = self.conv2(x).relu()
         x = x.reshape(x.shape[0], -1)
-        x = Tensor.concat([x, Tensor(np.asarray(aux, dtype=float))], axis=-1)
+        x = Tensor.concat([x, Tensor(np.asarray(aux, dtype=self.dtype))], axis=-1)
         return self.trunk(x).tanh()
 
     def forward(self, observations: list[UAVObservation]) -> tuple[DiagGaussian, Tensor]:

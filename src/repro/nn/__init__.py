@@ -16,6 +16,7 @@ from .anomaly import (
 from .attention import MultiHeadAttention, ScaledDotProductAttention, SelfAttentionBlock
 from .distributions import Categorical, DiagGaussian
 from .graph import GATLayer, GCNLayer, normalized_laplacian
+from .init import DTYPE
 from .layers import (
     MLP,
     Conv2d,
@@ -48,6 +49,7 @@ from .tensor import Tensor, as_tensor, enable_grad, is_grad_enabled, no_grad
 from .tracer import TapeRecord, active_trace, is_tracing, trace
 
 __all__ = [
+    "DTYPE",
     "functional",
     "Tensor",
     "as_tensor",

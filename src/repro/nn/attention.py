@@ -30,7 +30,7 @@ class ScaledDotProductAttention(Module):
         v = x @ self.w_v
         scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(self.dim)
         if mask is not None:
-            scores = scores + Tensor(np.where(np.asarray(mask, dtype=bool), 0.0, -1e9))
+            scores = scores + np.where(np.asarray(mask, dtype=bool), 0.0, -1e9)
         weights = annotate(scores.softmax(axis=-1), "ScaledDotProductAttention.weights")
         return weights @ v
 
@@ -66,7 +66,7 @@ class MultiHeadAttention(Module):
         scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(self.head_dim)  # (H, N, N)
         if mask is not None:
             bias = np.where(np.asarray(mask, dtype=bool), 0.0, -1e9)
-            scores = scores + Tensor(np.broadcast_to(bias, scores.shape).copy())
+            scores = scores + np.broadcast_to(bias, scores.shape)
         weights = annotate(scores.softmax(axis=-1), "MultiHeadAttention.weights")
         attended = weights @ v  # (H, N, head_dim)
         merged = attended.transpose(1, 0, 2).reshape(n, self.dim)

@@ -81,7 +81,7 @@ class DiagGaussian:
 
     def log_prob(self, actions: np.ndarray) -> Tensor:
         """Sum of per-dimension log densities (last axis)."""
-        actions = np.asarray(actions, dtype=np.float64)
+        actions = np.asarray(actions, dtype=self.mean.dtype)
         var_inv = (-2.0 * self.log_std).exp()
         diff = Tensor(actions) - self.mean
         per_dim = diff * diff * var_inv * (-0.5) - self.log_std - 0.5 * _LOG_2PI
@@ -91,6 +91,7 @@ class DiagGaussian:
         per_dim = self.log_std + 0.5 * (_LOG_2PI + 1.0)
         # Broadcast to the batch shape of the mean for consistent reduction.
         if self.mean.ndim > 1:
-            batch = Tensor(np.zeros(self.mean.shape[:-1] + (self.log_std.shape[-1],)))
+            batch = Tensor(np.zeros(self.mean.shape[:-1] + (self.log_std.shape[-1],),
+                                    dtype=self.log_std.dtype))
             per_dim = per_dim + batch
         return per_dim.sum(axis=-1)

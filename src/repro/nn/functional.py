@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _constant, as_tensor
 
 __all__ = [
     "conv2d",
@@ -196,16 +196,16 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
 # ----------------------------------------------------------------------
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared error."""
-    target = as_tensor(target).detach()
+    target = _constant(target, pred).detach()
     diff = pred - target
     return (diff * diff).mean()
 
 
 def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
     """Smooth-L1 / Huber loss, robust to outlier returns."""
-    target = as_tensor(target).detach()
+    target = _constant(target, pred).detach()
     diff = (pred - target).abs()
-    quadratic = Tensor.minimum(diff, as_tensor(delta))
+    quadratic = Tensor.minimum(diff, delta)
     linear = diff - quadratic
     return (quadratic * quadratic * 0.5 + linear * delta).mean()
 
@@ -225,7 +225,7 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     """Numerically stable BCE-with-logits (used by AE-Comm's decoder)."""
-    targets = as_tensor(targets).detach()
+    targets = _constant(targets, logits).detach()
     # max(x,0) - x*z + log(1 + exp(-|x|))
     relu_part = logits.relu()
     abs_part = logits.abs()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anomaly import annotate
-from .init import xavier_uniform
+from .init import xavier_uniform, zeros
 from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor
 
@@ -39,12 +39,12 @@ class GCNLayer(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.weight = Parameter(xavier_uniform((in_features, out_features), rng))
-        self.bias = Parameter(np.zeros(out_features))
+        self.bias = Parameter(zeros((out_features,)))
         self.activation = activation
 
     def forward(self, x: Tensor, laplacian: np.ndarray) -> Tensor:
         x = as_tensor(x)
-        lap = Tensor(laplacian)
+        lap = Tensor(np.asarray(laplacian, dtype=self.weight.dtype))
         out = lap @ (x @ self.weight) + self.bias
         if self.activation == "relu":
             return out.relu()
@@ -79,6 +79,6 @@ class GATLayer(Module):
         # e_ij = leaky_relu(src_i + dst_j)
         logits = (src + dst.transpose()).leaky_relu(self.slope)  # (N, N)
         mask = np.asarray(adjacency, dtype=bool) | np.eye(len(adjacency), dtype=bool)
-        neg = Tensor(np.where(mask, 0.0, -1e9))
-        alpha = annotate((logits + neg).softmax(axis=-1), "GATLayer.alpha")
+        alpha = annotate((logits + np.where(mask, 0.0, -1e9)).softmax(axis=-1),
+                         "GATLayer.alpha")
         return (alpha @ h).tanh()

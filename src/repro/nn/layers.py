@@ -96,6 +96,14 @@ class Module:
         for p in self.parameters():
             p.zero_grad(set_to_none=set_to_none)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the module's parameters (:data:`~repro.nn.init.DTYPE`
+        for a module without any); forwards cast their inputs to it."""
+        for _, p in self.named_parameters():
+            return p.dtype
+        return np.dtype(weight_init.DTYPE)
+
     def num_parameters(self) -> int:
         """Total count of scalar parameters."""
         return sum(p.size for p in self.parameters())
@@ -106,7 +114,8 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load a :meth:`state_dict` snapshot; strict on names and shapes."""
+        """Load a :meth:`state_dict` snapshot; strict on names, shapes and
+        dtypes (a value is never cast)."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -116,7 +125,10 @@ class Module:
             value = np.asarray(state[name])
             if value.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {p.data.shape}")
-            p.data = value.astype(p.data.dtype).copy()
+            if value.dtype != p.data.dtype:
+                raise ValueError(f"dtype mismatch for {name}: {value.dtype} vs {p.data.dtype}")
+        for name, p in own.items():
+            p.data = np.array(state[name])
             p.bump_version()
 
     # -- call protocol ----------------------------------------------------
@@ -142,7 +154,7 @@ class Linear(Module):
         self.weight = Parameter(initializer((in_features, out_features), rng, gain=gain)
                                 if init in ("xavier_uniform", "xavier_normal", "orthogonal")
                                 else initializer((in_features, out_features), rng))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = Parameter(weight_init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
@@ -164,7 +176,7 @@ class Conv2d(Module):
         self.padding = padding
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(weight_init.kaiming_uniform(shape, rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(weight_init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(as_tensor(x), self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -242,8 +254,8 @@ class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.eps = eps
-        self.weight = Parameter(np.ones(dim))
-        self.bias = Parameter(np.zeros(dim))
+        self.weight = Parameter(weight_init.ones((dim,)))
+        self.bias = Parameter(weight_init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)

@@ -67,8 +67,9 @@ class Optimizer:
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`.
 
-        Slot arrays are validated against the parameter list (count and
-        shape) before anything is mutated.
+        Slot arrays are validated against the parameter list (count,
+        shape and dtype) before anything is mutated; each slot is kept
+        in its parameter's dtype.
         """
         for slot in self._slot_names:
             for i, p in enumerate(self.params):
@@ -80,11 +81,15 @@ class Optimizer:
                     raise ValueError(
                         f"optimizer slot {key!r} has shape {arr.shape}, "
                         f"parameter has shape {p.data.shape}")
+                if arr.dtype != p.data.dtype:
+                    raise ValueError(
+                        f"optimizer slot {key!r} has dtype {arr.dtype}, "
+                        f"parameter has dtype {p.data.dtype}")
         self._load_scalar_state(state)
         for slot in self._slot_names:
             arrays = getattr(self, slot)
             for i in range(len(self.params)):
-                arrays[i] = np.asarray(state[f"{slot}.{i}"], dtype=float).copy()
+                arrays[i] = np.array(state[f"{slot}.{i}"])
 
 
 class SGD(Optimizer):

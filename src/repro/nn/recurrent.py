@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .init import orthogonal, xavier_uniform
+from .init import ones, orthogonal, xavier_uniform, zeros
 from .layers import Module, Parameter
 from .tensor import Tensor, as_tensor
 
@@ -29,14 +29,14 @@ class LSTMCell(Module):
         self.w_c = Parameter(xavier_uniform((total, hidden_size), rng))
         self.w_o = Parameter(xavier_uniform((total, hidden_size), rng))
         # Forget-gate bias starts at 1 so early training does not erase memory.
-        self.b_i = Parameter(np.zeros(hidden_size))
-        self.b_f = Parameter(np.ones(hidden_size))
-        self.b_c = Parameter(np.zeros(hidden_size))
-        self.b_o = Parameter(np.zeros(hidden_size))
+        self.b_i = Parameter(zeros((hidden_size,)))
+        self.b_f = Parameter(ones((hidden_size,)))
+        self.b_c = Parameter(zeros((hidden_size,)))
+        self.b_o = Parameter(zeros((hidden_size,)))
 
     def init_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        return (Tensor(np.zeros((batch, self.hidden_size))),
-                Tensor(np.zeros((batch, self.hidden_size))))
+        zeros_like = np.zeros((batch, self.hidden_size), dtype=self.w_i.dtype)
+        return Tensor(zeros_like), Tensor(zeros_like.copy())
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         h, c = state
@@ -63,12 +63,12 @@ class GRUCell(Module):
         self.w_r = Parameter(xavier_uniform((total, hidden_size), rng))
         self.w_z = Parameter(xavier_uniform((total, hidden_size), rng))
         self.w_h = Parameter(orthogonal((total, hidden_size), rng))
-        self.b_r = Parameter(np.zeros(hidden_size))
-        self.b_z = Parameter(np.zeros(hidden_size))
-        self.b_h = Parameter(np.zeros(hidden_size))
+        self.b_r = Parameter(zeros((hidden_size,)))
+        self.b_z = Parameter(zeros((hidden_size,)))
+        self.b_h = Parameter(zeros((hidden_size,)))
 
     def init_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size)))
+        return Tensor(np.zeros((batch, self.hidden_size), dtype=self.w_r.dtype))
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         x = as_tensor(x)

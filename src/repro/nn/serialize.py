@@ -183,7 +183,8 @@ def validate_state_dict(module, state: dict[str, np.ndarray],
                         context: str = "checkpoint") -> None:
     """Diff ``state`` against the module's parameters; raise on mismatch.
 
-    Checks key sets, shapes and dtype castability *before* any mutation,
+    Checks key sets, shapes and dtypes *before* any mutation (a value is
+    never cast: a float64 state does not load into float32 parameters),
     raising a single :class:`CheckpointMismatchError` that lists every
     missing / unexpected / mismatched key.
     """
@@ -197,9 +198,9 @@ def validate_state_dict(module, state: dict[str, np.ndarray],
         if value.shape != param.data.shape:
             mismatched.append(f"{name}: checkpoint shape {value.shape} vs "
                               f"parameter shape {param.data.shape}")
-        elif not np.can_cast(value.dtype, param.data.dtype, casting="same_kind"):
-            mismatched.append(f"{name}: checkpoint dtype {value.dtype} not "
-                              f"castable to parameter dtype {param.data.dtype}")
+        elif value.dtype != param.data.dtype:
+            mismatched.append(f"{name}: checkpoint dtype {value.dtype} vs "
+                              f"parameter dtype {param.data.dtype}")
     if missing or unexpected or mismatched:
         raise CheckpointMismatchError(missing, unexpected, mismatched, context)
 

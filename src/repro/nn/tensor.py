@@ -30,6 +30,11 @@ Design notes
   backward through a graph whose inputs an optimiser step has mutated.
 * Broadcasting follows numpy rules; :func:`_unbroadcast` sums gradients
   back down to the shape of the input operand.
+* Ops preserve dtype.  Two Tensors combine under numpy's promotion; a
+  non-Tensor operand (a Python or numpy scalar, an array) is a constant
+  and takes the Tensor operand's dtype, so a float32 graph stays float32
+  and a float64 one float64.  The models' dtype is chosen where their
+  parameters are created (:data:`repro.nn.init.DTYPE`).
 * The engine is eager and single-threaded, which is all the reproduction
   needs on CPU.
 """
@@ -134,6 +139,24 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(value, requires_grad=requires_grad)
 
 
+def _constant(value, like: "Tensor") -> "Tensor":
+    """``value`` as an operand of an op on ``like``: a Tensor is kept as
+    it is; anything else is a constant in ``like``'s dtype."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
+
+
+def _operands(a, b) -> tuple["Tensor", "Tensor"]:
+    """Both operands of a two-input op as Tensors, a constant taking the
+    other operand's dtype."""
+    if isinstance(a, Tensor):
+        return a, _constant(b, a)
+    if isinstance(b, Tensor):
+        return _constant(a, b), b
+    return as_tensor(a), as_tensor(b)
+
+
 class _FreedBackward:
     """Marks an interior node whose closure has run and been released.
 
@@ -160,8 +183,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything ``numpy.asarray`` accepts.  Stored as ``float64`` unless
-        already a float dtype.
+        Anything ``numpy.asarray`` accepts.  A float array keeps its
+        dtype; anything else is stored as ``float64``.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` when
         :meth:`backward` is called on a downstream tensor.
@@ -344,7 +367,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _constant(other, self)
         out = self._make_child(self.data + other.data, (self, other))
 
         def _backward(out: Tensor) -> None:
@@ -369,13 +392,13 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-_constant(other, self))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return _constant(other, self) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _constant(other, self)
         out = self._make_child(self.data * other.data, (self, other))
 
         def _backward(out: Tensor) -> None:
@@ -390,7 +413,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _constant(other, self)
         out = self._make_child(self.data / other.data, (self, other))
 
         def _backward(out: Tensor) -> None:
@@ -403,7 +426,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return _constant(other, self) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -418,7 +441,7 @@ class Tensor:
         return out
 
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = _constant(other, self)
         out = self._make_child(self.data @ other.data, (self, other))
 
         def _backward(out: Tensor) -> None:
@@ -517,7 +540,7 @@ class Tensor:
 
         def _backward(out: Tensor) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * np.where(self.data > 0, 1.0, slope))
+                self._accumulate(np.where(self.data > 0, out.grad, slope * out.grad))
 
         out._backward = _backward if out.requires_grad else None
         return out
@@ -781,7 +804,7 @@ class Tensor:
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
         """Select from ``a`` where ``condition`` else ``b``."""
-        a, b = as_tensor(a), as_tensor(b)
+        a, b = _operands(a, b)
         cond = np.asarray(condition, dtype=bool)
         out = a._make_child(np.where(cond, a.data, b.data), (a, b))
 
@@ -801,7 +824,7 @@ class Tensor:
         Ties take the gradient from ``a``, matching the historical
         ``where(a >= b, a, b)`` lowering bit-for-bit.
         """
-        a, b = as_tensor(a), as_tensor(b)
+        a, b = _operands(a, b)
         cond = a.data >= b.data
         out = a._make_child(np.where(cond, a.data, b.data), (a, b), op="maximum")
 
@@ -817,7 +840,7 @@ class Tensor:
     @staticmethod
     def minimum(a: "Tensor", b: "Tensor") -> "Tensor":
         """Elementwise minimum of two tensors (ties favour ``a``)."""
-        a, b = as_tensor(a), as_tensor(b)
+        a, b = _operands(a, b)
         cond = a.data <= b.data
         out = a._make_child(np.where(cond, a.data, b.data), (a, b), op="minimum")
 

@@ -19,7 +19,7 @@ from .export import (
     write_profile_jsonl,
 )
 from .opprof import OpProfile, profile_ops
-from .scope import Profiler
+from .scope import Profiler, _max_rss_kb
 
 __all__ = ["add_profile_parser", "run_profile_command", "profile_training"]
 
@@ -111,8 +111,18 @@ def run_profile_command(args: argparse.Namespace) -> int:
     coverage = prof.coverage()
     print(f"scope coverage: {100.0 * coverage:.1f}% of wall time "
           f"attributed to named scopes")
-    print(f"peak RSS: {prof.peak_rss_mb:.1f} MB")
+    _print_peak_rss(prof)
     return 0
+
+
+def _print_peak_rss(prof: Profiler) -> None:
+    """Print the profiled window's peak RSS and the whole process's.
+
+    The process peak is read after the op table, the Chrome trace and
+    the JSONL are built, which can lift it above the window's.
+    """
+    print(f"window peak RSS: {prof.peak_rss_mb:.1f} MB")
+    print(f"process peak RSS: {_max_rss_kb() / 1024.0:.1f} MB")
 
 
 def profile_training(run_training_call, profile_dir: str | Path):
@@ -129,8 +139,8 @@ def profile_training(run_training_call, profile_dir: str | Path):
         result = run_training_call()
     print()
     print(format_top_table(prof))
-    print(f"peak RSS: {prof.peak_rss_mb:.1f} MB")
     trace_path = write_chrome_trace(profile_dir / "profile_trace.json", prof)
     jsonl_path = write_profile_jsonl(profile_dir / "profile.jsonl", prof)
     print(f"profile written to {trace_path} and {jsonl_path}")
+    _print_peak_rss(prof)
     return result

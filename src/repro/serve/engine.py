@@ -20,8 +20,10 @@ maps this to a 429), which keeps latency bounded under overload instead
 of collapsing.  Every request carries an absolute deadline; requests
 that expire while queued are failed with :class:`TimeoutError` without
 spending a forward on them.  A request whose forward outputs are not
-finite (an observation too large for float64, say) is failed alone
-with :class:`NonFiniteOutput`; the rest of its batch is answered.
+finite is failed alone with :class:`NonFiniteOutput`; the rest of its
+batch is answered.  The wire is float64 and the policies float32, so a
+finite observation beyond float32's range (``1e39``, say) is one: the
+batch stacking casts it to ``inf``.
 
 Sampling uses the *per-session* rng the caller passed, so one scenario
 stream's action sequence depends only on its own seed and its own
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..env.observation import UGVObsArrays
+from ..nn import DTYPE
 from ..nn.distributions import sample_categorical
 from ..obs.scope import counter_add, histogram_observe
 from .artifact import FrozenPolicy
@@ -242,14 +245,14 @@ class InferenceEngine:
                  ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_batched`` over the group's stacked replicas."""
         obs = UGVObsArrays(
-            stop_features=np.stack([r.arrays[0] for r in group]),
+            stop_features=np.stack([r.arrays[0] for r in group], dtype=DTYPE),
             ugv_positions=np.stack([r.arrays[1] for r in group]),
             ugv_stops=np.stack([r.arrays[2] for r in group]).astype(np.int64),
             action_mask=np.stack([r.arrays[3] for r in group]),
         )
         (logits, values), forward_ms = self._forward(self.policy.ugv_forward,
                                                      obs)
-        # Row-wise log-softmax in float64 (matches Categorical's math).
+        # Row-wise log-softmax in the model dtype (Categorical's math).
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_probs_all = shifted - np.log(
             np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -276,8 +279,8 @@ class InferenceEngine:
                  ) -> list[InferenceResult | NonFiniteOutput]:
         """One ``forward_arrays`` over the group's concatenated crops."""
         sizes = [r.arrays[0].shape[0] for r in group]
-        grids = np.concatenate([r.arrays[0] for r in group])
-        aux = np.concatenate([r.arrays[1] for r in group])
+        grids = np.concatenate([r.arrays[0] for r in group], dtype=DTYPE)
+        aux = np.concatenate([r.arrays[1] for r in group], dtype=DTYPE)
         (mean, log_std, values), forward_ms = self._forward(
             self.policy.uav_forward, grids, aux)
         std = np.exp(log_std)

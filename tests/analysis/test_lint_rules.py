@@ -123,18 +123,19 @@ def test_rl003_silent_with_no_grad_or_training():
 
 
 # ----------------------------------------------------------------------
-# RL004 float32-drift
+# RL004 half-precision
 # ----------------------------------------------------------------------
 def test_rl004_fires_on_reduced_precision():
     bad = """
     import numpy as np
 
     def make(x):
-        a = np.zeros(3, dtype=np.float32)
-        b = x.astype("float32")
-        return a, b
+        a = np.zeros(3, dtype=np.float16)
+        b = x.astype("float16")
+        c = x.astype(np.half)
+        return a, b, c
     """
-    assert codes(bad).count("RL004") == 2
+    assert codes(bad).count("RL004") == 3
 
 
 def test_rl004_silent_on_float64():
@@ -143,6 +144,16 @@ def test_rl004_silent_on_float64():
 
     def make(x):
         return np.zeros(3, dtype=np.float64)
+    """
+    assert codes(good) == []
+
+
+def test_rl004_silent_on_float32():
+    good = """
+    import numpy as np
+
+    def make(x):
+        return np.zeros(3, dtype=np.float32), x.astype("float32")
     """
     assert codes(good) == []
 

@@ -13,6 +13,36 @@ import pytest
 
 from repro.env import AirGroundEnv, EnvConfig
 from repro.maps import CampusMap, Polygon, build_campus, build_stop_graph, rectangle
+from repro.nn import Adam, Module
+
+
+def to_float64(module: Module) -> Module:
+    """Cast ``module`` in place to float64 and return it.
+
+    Every parameter and every float array a (sub)module holds (MC-GCN's
+    Laplacian, E-Comm's stop positions, ...) becomes float64, so the
+    forwards, which cast their inputs to the parameters' dtype, run in
+    float64 end to end.  Models train in float32; equivalence tests whose
+    tolerances sit far below float32's rounding run on these copies.
+    """
+    for sub in module.modules():
+        for name, value in vars(sub).items():
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                setattr(sub, name, value.astype(np.float64))
+    for p in module.parameters():
+        p.data = p.data.astype(np.float64)
+    return module
+
+
+def agent_to_float64(agent):
+    """Cast an IPPO agent's two policies to float64 (see
+    :func:`to_float64`) and give its trainer fresh float64 Adam state."""
+    trainer = agent.trainer
+    to_float64(agent.ugv_policy)
+    to_float64(agent.uav_policy)
+    trainer.ugv_optimizer = Adam(agent.ugv_policy.parameters(), lr=trainer.ppo.lr)
+    trainer.uav_optimizer = Adam(agent.uav_policy.parameters(), lr=trainer.ppo.lr)
+    return agent
 
 
 def make_toy_campus() -> CampusMap:

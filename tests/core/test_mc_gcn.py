@@ -12,6 +12,8 @@ from repro.core.mc_gcn import mc_gcn_layer
 from repro.maps.stop_graph import StopGraph
 from repro.nn import GCNLayer, Parameter, Tensor, normalized_laplacian
 
+from ..conftest import to_float64
+
 
 @pytest.fixture()
 def config():
@@ -170,7 +172,7 @@ def test_fused_layer_matches_composed_ops(problem):
     h_data = rng.normal(size=(n, b, f))
     upstream = rng.normal(size=(n, b, hidden))
     w1 = Parameter(rng.normal(size=(f, f)))
-    layer = GCNLayer(f, hidden, rng=rng, activation="tanh")
+    layer = to_float64(GCNLayer(f, hidden, rng=rng, activation="tanh"))
     layer.bias.data[:] = rng.normal(size=hidden)
     args = (h_data, w1, layer, laplacian, structural, own, others, upstream)
 
@@ -189,7 +191,7 @@ def test_fused_layer_matches_composed_ops(problem):
 
 
 def test_forward_batch_of_one_matches_forward(toy_stops, config):
-    model = MCGCN(toy_stops, config)
+    model = to_float64(MCGCN(toy_stops, config))
     features = np.random.default_rng(7).normal(size=(toy_stops.num_stops, 3))
     others = np.array([4, 9])
     nodes, pooled = model(features, 2, others)
@@ -233,7 +235,10 @@ class TestEquationsOnPathGraph:
         graph = nx.path_graph(4)
         stops = StopGraph(positions=np.arange(8.0).reshape(4, 2), graph=graph)
         cfg = GARLConfig(hidden_dim=2, mc_gcn_layers=1, structural_q=2.0)
-        model = MCGCN(stops, cfg, in_features=2)
+        model = to_float64(MCGCN(stops, cfg, in_features=2))
+        # The exact float64 constants (the model rounds them to float32).
+        model.laplacian = normalized_laplacian(stops.adjacency_matrix())
+        model.correlation = stops.structural_correlation(cfg.structural_q)
         model.attn_weights[0].data[:] = self.W1
         model.gcn_layers[0].weight.data[:] = self.W
         model.gcn_layers[0].bias.data[:] = self.BIAS

@@ -28,6 +28,8 @@ from repro.env import AirGroundEnv, EnvConfig, VecAirGroundEnv
 from repro.env.observation import UGVObsArrays
 from repro.nn import no_grad
 
+from ..conftest import agent_to_float64
+
 SMALL = GARLConfig(hidden_dim=8, mc_gcn_layers=1, ecomm_layers=1,
                    ppo=PPOConfig(epochs=1, minibatch_size=16))
 
@@ -37,12 +39,14 @@ def _fresh_env(toy_campus, toy_stops, seed=7):
     return AirGroundEnv(toy_campus, config, stops=toy_stops, seed=seed)
 
 
-def _make_agent(toy_campus, toy_stops, method="garl", **cfg_overrides):
+def _make_agent(toy_campus, toy_stops, method="garl", float64=False,
+                **cfg_overrides):
+    """A fresh agent; ``float64=True`` casts it for the per-sample vs
+    batched comparisons, whose tolerances sit below float32 rounding."""
     env = _fresh_env(toy_campus, toy_stops)
     config = SMALL.replace(**cfg_overrides) if cfg_overrides else SMALL
-    if method == "garl":
-        return env, GARLAgent(env, config)
-    return env, make_agent(method, env, config)
+    agent = GARLAgent(env, config) if method == "garl" else make_agent(method, env, config)
+    return env, agent_to_float64(agent) if float64 else agent
 
 
 def _sequential_collect(env, agent, rng):
@@ -69,8 +73,8 @@ class TestK1RolloutEquivalence:
 
     @pytest.mark.parametrize("method", ["garl", "gat"])
     def test_golden_rollout(self, toy_campus, toy_stops, method):
-        env_a, agent_a = _make_agent(toy_campus, toy_stops, method)
-        env_b, agent_b = _make_agent(toy_campus, toy_stops, method)
+        env_a, agent_a = _make_agent(toy_campus, toy_stops, method, float64=True)
+        env_b, agent_b = _make_agent(toy_campus, toy_stops, method, float64=True)
         seq_ugv, seq_uav, seq_m = _sequential_collect(
             env_a, agent_a, np.random.default_rng(3))
         vec_ugv, vec_uav, vec_m = _vec_collect(
@@ -120,8 +124,8 @@ class TestK1TrainEquivalence:
     def test_two_train_iterations_match_sequential(self, toy_campus, toy_stops):
         """Full collect+update loop at K=1 leaves identical parameters."""
         ppo = dataclasses.replace(SMALL.ppo, epochs=1, minibatch_size=100000)
-        env_a, agent_a = _make_agent(toy_campus, toy_stops, ppo=ppo)
-        env_b, agent_b = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        env_a, agent_a = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
+        env_b, agent_b = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
 
         for _ in range(2):
             tr = agent_a.trainer
@@ -153,8 +157,8 @@ class TestK1TrainEquivalence:
         """Several minibatches per epoch: both update paths draw the same
         whole-timestep minibatches, so losses and parameters agree."""
         ppo = dataclasses.replace(SMALL.ppo, epochs=2, minibatch_size=5)
-        _, agent_a = _make_agent(toy_campus, toy_stops, ppo=ppo)
-        _, agent_b = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        _, agent_a = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
+        _, agent_b = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
         tr, tv = agent_a.trainer, agent_b.trainer
         for _ in range(2):
             ugv_s, _, _, _, _ = tr.collect(episodes)
@@ -175,8 +179,8 @@ class TestDefaultTrainIsBatched:
 
     def test_default_train_matches_per_sample_oracle(self, toy_campus, toy_stops):
         ppo = dataclasses.replace(SMALL.ppo, epochs=1, minibatch_size=100000)
-        _, oracle = _make_agent(toy_campus, toy_stops, ppo=ppo)
-        _, agent = _make_agent(toy_campus, toy_stops, ppo=ppo)
+        _, oracle = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
+        _, agent = _make_agent(toy_campus, toy_stops, float64=True, ppo=ppo)
 
         history = agent.train(2)
         assert agent.trainer._venv is not None

@@ -281,3 +281,24 @@ def test_graceful_interrupt_catches_real_sigterm():
 
 def test_resume_exit_code_is_ex_tempfail():
     assert RESUME_EXIT_CODE == 75
+
+
+def test_resume_refuses_float64_era_checkpoint(tmp_path):
+    """A checkpoint written by a float64 build fails on its dtype when
+    resumed, naming it, instead of being cast into the float32 model."""
+    from repro.experiments.runner import run_training
+    from repro.nn import CheckpointMismatchError
+
+    kwargs = dict(num_ugvs=2, num_uavs_per_ugv=1, checkpoint_dir=tmp_path,
+                  save_every=1, handle_signals=False)
+    run_training("garl", "kaist", "smoke", train_iterations=2, **kwargs)
+    state_file = tmp_path / "iter_000001" / "state.npz"
+    with np.load(state_file) as data:
+        arrays = {k: data[k] for k in data.files}
+    assert any(v.dtype == np.float32 for v in arrays.values())
+    np.savez(state_file, **{k: v.astype(np.float64) if v.dtype == np.float32 else v
+                            for k, v in arrays.items()})
+    with pytest.raises(CheckpointMismatchError,
+                       match="checkpoint dtype float64 vs parameter dtype float32"):
+        run_training("garl", "kaist", "smoke", train_iterations=2,
+                     resume=tmp_path / "iter_000001", **kwargs)

@@ -72,6 +72,32 @@ class TestCategorical:
         np.testing.assert_array_equal(
             sample_categorical(log_probs, _TopDraw()), [18, 19])
 
+    def test_float32_draw_past_the_cdf_takes_a_feasible_action(self):
+        """Float32 policy rows, masked with the -1e9 penalty: a float32
+        cdf rounds more coarsely, and a draw above its last entry still
+        takes an action the mask allows."""
+        rng = np.random.default_rng(5)
+        scores = rng.normal(size=(64, 12)).astype(np.float32)
+        mask = rng.random((64, 12)) < 0.6
+        mask[:, 0] = True  # one feasible action per row
+        mask[::2, -3:] = False  # infeasible actions last
+        logits = Tensor(scores) + np.where(mask, 0.0, -1e9)
+        log_probs = Categorical(logits).log_probs_all.data
+        assert log_probs.dtype == np.float32
+        p = np.exp(log_probs)
+        cdf_end = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)[:, -1]
+        assert cdf_end.dtype == np.float32
+
+        class _PastTheCdf:
+            def random(self, size):
+                above = np.nextafter(cdf_end.astype(np.float64), 2.0)
+                return above.reshape(size)
+
+        actions = sample_categorical(log_probs, _PastTheCdf())
+        assert mask[np.arange(64), actions].all()
+        np.testing.assert_array_equal(
+            actions, [np.flatnonzero(row)[-1] for row in mask])
+
     def test_sample_is_the_inverse_cdf_draw(self):
         """Away from the rounding edge, a draw is ``(u > cdf).sum()``
         bitwise: the same rng stream gives the same indices."""

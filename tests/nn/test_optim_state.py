@@ -173,3 +173,25 @@ def test_set_rng_state_repositions_existing_generator():
     target = np.random.default_rng(999)
     set_rng_state(target, state)
     np.testing.assert_array_equal(source.normal(size=6), target.normal(size=6))
+
+
+def test_adam_slots_are_kept_saved_and_restored_in_the_parameter_dtype():
+    model = MLP([3, 6, 2], rng=np.random.default_rng(0))
+    opt = Adam(model.parameters(), lr=1e-2)
+    _train_steps(model, opt, 3, seed=1)
+    state = opt.state_dict()
+    slots = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+    assert slots and all(v.dtype == np.float32 for v in slots.values())
+
+    restored = Adam(model.parameters(), lr=1e-2)
+    restored.load_state_dict(state)
+    for key, value in restored.state_dict().items():
+        if key in slots:
+            assert value.dtype == np.float32
+            assert value.tobytes() == slots[key].tobytes()
+
+    # A float64 slot (a float64-era checkpoint) is refused, not cast.
+    key = sorted(slots)[0]
+    with pytest.raises(ValueError, match="dtype float64"):
+        Adam(model.parameters(), lr=1e-2).load_state_dict(
+            {**state, key: slots[key].astype(np.float64)})

@@ -295,3 +295,22 @@ class TestGraphSemantics:
     def test_constructors(self):
         assert Tensor.zeros(2, 3).shape == (2, 3)
         assert Tensor.ones(4).numpy().sum() == 4.0
+
+
+def test_constants_take_the_tensor_operand_dtype():
+    """A non-Tensor operand is a constant in the Tensor's dtype, so a
+    float32 graph stays float32 and a float64 one float64; two Tensors
+    follow numpy's promotion."""
+    mask = np.array([True, False, True])
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.arange(1.0, 4.0, dtype=dtype), requires_grad=True)
+        other = np.ones(3, dtype=np.float64 if dtype == np.float32 else np.float32)
+        outs = [x + 1.0, 2.0 * x, x - other, 1.0 - x, 1.0 / x, x / np.float64(3.0),
+                x @ other, Tensor.maximum(x, 0.5), Tensor.minimum(0.5, x),
+                Tensor.where(mask, x, 0.0), x.leaky_relu(0.1)]
+        for out in outs:
+            assert out.dtype == dtype
+        sum(out.sum() for out in outs).backward()
+        assert x.grad.dtype == dtype
+    mixed = Tensor(np.ones(2, dtype=np.float32)) + Tensor(np.ones(2))
+    assert mixed.dtype == np.float64

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.nn import no_grad
+from repro.nn import CheckpointMismatchError, no_grad
 from repro.serve.artifact import (
     SERVE_SCHEMA_VERSION,
     ArtifactError,
@@ -102,6 +102,24 @@ def test_refuses_tampered_weights(artifact_dir, tmp_path):
 
     with pytest.raises(ArtifactError, match="digest"):
         load_artifact(_tamper(artifact_dir, tmp_path, corrupt))
+
+
+def test_refuses_float64_era_weights(artifact_dir, tmp_path):
+    """Weights exported by a float64 build fail on their dtype, before
+    any digest or probe comparison, and are never cast."""
+    def upcast(copy, _manifest):
+        for name in ("ugv_policy.npz", "uav_policy.npz"):
+            path = copy / name
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            for key in arrays:
+                if key.startswith("param::"):
+                    arrays[key] = arrays[key].astype(np.float64)
+            np.savez(path, **arrays)
+
+    with pytest.raises(CheckpointMismatchError,
+                       match="checkpoint dtype float64 vs parameter dtype float32"):
+        load_artifact(_tamper(artifact_dir, tmp_path, upcast))
 
 
 def test_refuses_stateful_policy(trained_run, tmp_path):

@@ -271,16 +271,20 @@ def test_huge_observation_fails_only_its_own_request(frozen_policy):
     """A finite but huge observation overflows the UGV forward to NaN:
     that request fails with NonFiniteOutput, without a RuntimeWarning,
     and a normal request in the same batch gets bitwise the outputs it
-    gets alone."""
+    gets alone.  Scaled by ``1e39`` the values are finite on the float64
+    wire but beyond the float32 policy's range."""
     normal = _ugv_payload(frozen_policy, np.random.default_rng(11))
-    huge = (normal[0] * 1e200,) + normal[1:]
     _, (alone,) = _serve_staged(frozen_policy, "ugv", [normal])
-    eng, (bad, good) = _serve_staged(frozen_policy, "ugv", [huge, normal])
-    with pytest.raises(NonFiniteOutput):
-        bad.result()
-    assert good.result().batch_size == 2
-    _assert_bitwise(good.result(), alone.result())
-    assert eng.stats["completed"] == 1
+    for scale in (1e200, 1e39):
+        huge = (normal[0] * scale,) + normal[1:]
+        assert np.isfinite(huge[0]).all()
+        assert np.abs(huge[0]).max() > np.finfo(np.float32).max
+        eng, (bad, good) = _serve_staged(frozen_policy, "ugv", [huge, normal])
+        with pytest.raises(NonFiniteOutput):
+            bad.result()
+        assert good.result().batch_size == 2
+        _assert_bitwise(good.result(), alone.result())
+        assert eng.stats["completed"] == 1
 
 
 class _NaNOnHugeCrops:
@@ -377,3 +381,16 @@ def test_stage_accounting_on_a_staged_queue(frozen_policy, monkeypatch):
     # Each result carries its own wait and its group's forward.
     assert [(r.queue_ms, r.forward_ms) for r in results] == [
         (5000.0, 250.0)] * 3 + [(4000.0, 250.0)]
+
+
+def test_served_ugv_log_probs_are_float32_and_at_most_zero(frozen_policy):
+    """The sampler draws from float32 log-prob rows; every log-prob the
+    engine returns for a taken action is a probability's log."""
+    payloads = [_ugv_payload(frozen_policy, np.random.default_rng(seed))
+                for seed in range(8)]
+    _, futures = _serve_staged(frozen_policy, "ugv", payloads)
+    for future in futures:
+        result = future.result()
+        assert result.log_probs.dtype == np.float32
+        assert np.isfinite(result.log_probs).all()
+        assert (result.log_probs <= 0).all()
