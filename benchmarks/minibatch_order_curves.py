@@ -45,7 +45,6 @@ def run_seed(seed: int, iterations: int, eval_episodes: int) -> dict:
                           num_envs=SETTING["num_envs"])
     train_s = time.perf_counter() - start
     snapshot = agent.evaluate(episodes=eval_episodes, greedy=False)
-    agent.close()
     ugv = [r.ugv_reward for r in history]
     return {"train_s": train_s,
             "ugv_reward": ugv,

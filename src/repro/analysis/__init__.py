@@ -12,8 +12,8 @@ Three pillars, one ``repro check`` meta-command (:mod:`.check`):
   closures capturing loop variables, bare asserts in hot paths,
   optimizer steps without ``zero_grad()``, unguarded reciprocals, and
   tensors parked on ``self`` across timesteps without ``detach()``.  The
-  DT rules target nondeterminism: global RNG, wall-clock control flow,
-  unordered iteration and fork-unsafe module state.  Run it with
+  DT rules target nondeterminism: global RNG, wall-clock control flow
+  and unordered iteration.  Run it with
   ``repro lint [paths]`` or the ``reprolint`` console script.
 
 * **graphcheck** (:mod:`repro.analysis.graphcheck`) — traces one training

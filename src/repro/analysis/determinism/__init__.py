@@ -4,8 +4,8 @@ Two cooperating layers:
 
 * :mod:`~repro.analysis.determinism.rules` — the static **DT rule
   family** (DT001 global RNG, DT002 wall-clock control flow, DT003
-  unordered iteration, DT004 fork-unsafe state) on the reprolint
-  framework; ``repro lint`` runs them with the RL rules.
+  unordered iteration) on the reprolint framework; ``repro lint`` runs
+  them with the RL rules.
 * :mod:`~repro.analysis.determinism.bisector` — the **runtime
   divergence bisector**: two same-seed lockstep runs, per-iteration
   state fingerprints, and an op-level tape replay that names the first

@@ -6,24 +6,19 @@ is a ``check(tree, ctx)`` generator on the :mod:`repro.analysis.rules`
 framework; ``repro lint`` runs them with the RL rules, and the standard
 ``# reprolint: disable=DT00x`` inline suppression applies.
 
-The four rules encode the failure modes that break the repo's
+The three rules encode the failure modes that break the repo's
 bit-determinism contract (resume ≡ uninterrupted, K=1 ≡ sequential):
 
 * **DT001** — global-state RNG (``np.random.rand`` and friends,
-  stdlib ``random.*``, ``os.urandom``) instead of an injected
-  ``np.random.Generator``.  Global streams are shared across every
-  caller and every fork, so draw order depends on unrelated code.
+  stdlib ``random.*``, ``os.urandom``, and a generator object held at
+  module level) instead of an injected ``np.random.Generator``.  Global
+  streams are shared across every caller, so draw order depends on
+  unrelated code.
 * **DT002** — wall-clock values (``time.time()``, ``datetime.now()``)
   feeding *control flow* rather than telemetry.
 * **DT003** — unordered-iteration hazards: iterating a ``set``,
   ``os.listdir``/``glob`` results used unsorted, and ``id()``-keyed
   dict access (the PR 3 ``(episode, t)`` grouping bug class).
-* **DT004** — fork-unsafety across the multi-process worker pool:
-  module-level mutable state (weakref containers included) mutated from
-  functions, and module-level file handles / rng objects that a forked
-  worker would share.  Globals reset by an ``os.register_at_fork``
-  cleanup hook are exempt — the hook makes the fork boundary safe by
-  construction (see :func:`_fork_guarded_names`).
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ import ast
 from ..rules import Context, Rule, _calls
 
 __all__ = ["DT_RULES", "check_global_rng",
-           "check_wall_clock_control_flow", "check_unordered_iteration",
-           "check_fork_unsafe_state"]
+           "check_wall_clock_control_flow", "check_unordered_iteration"]
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +52,10 @@ _STDLIB_RANDOM_FUNCS = {
     "binomialvariate", "SystemRandom",
 }
 
+# Generator constructors that, called at module level, make one stream
+# every importer shares.
+_RNG_CONSTRUCTORS = {"default_rng", "Generator", "RandomState", "Random"}
+
 
 def _dotted(node: ast.AST) -> str:
     """Best-effort dotted name of an attribute chain (``np.random.rand``)."""
@@ -70,8 +68,39 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
+def _module_level_rngs(tree: ast.AST):
+    """Yield ``(stmt, name)`` for each generator bound at module level."""
+    if not isinstance(tree, ast.Module):
+        return
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        value = stmt.value
+        if not names or not isinstance(value, ast.Call):
+            continue
+        f = value.func
+        fname = (f.id if isinstance(f, ast.Name)
+                 else f.attr if isinstance(f, ast.Attribute) else "")
+        if fname in _RNG_CONSTRUCTORS:
+            yield stmt, names[0]
+
+
 def check_global_rng(tree: ast.AST, ctx: Context):
-    """Yield ``(node, message)`` for every global-RNG draw in ``tree``."""
+    """Yield ``(node, message)`` for every global-RNG draw in ``tree``.
+
+    The seedable constructors are fine at call sites, but a generator
+    bound at module level is a process-global stream again.
+    """
+    for stmt, name in _module_level_rngs(tree):
+        yield (stmt, f"module-level rng object `{name}` is one stream "
+                     f"shared by every caller in the process; draw order "
+                     f"then depends on unrelated code — construct the "
+                     f"generator where it is used, or inject one")
     for call in _calls(tree):
         func = call.func
         if not isinstance(func, ast.Attribute):
@@ -84,8 +113,7 @@ def check_global_rng(tree: ast.AST, ctx: Context):
                 and func.attr not in _NP_RANDOM_ALLOWED):
             yield (call, f"`{_dotted(func)}(...)` draws from numpy's "
                          f"process-global stream; draw order then depends on "
-                         f"every other caller (and differs across forked "
-                         f"workers) — inject a `np.random.Generator` "
+                         f"every other caller — inject a `np.random.Generator` "
                          f"(`np.random.default_rng(seed)`) instead")
         # stdlib random.<fn>(...) on the hidden module instance.
         elif (isinstance(value, ast.Name) and value.id == "random"
@@ -260,143 +288,13 @@ def check_unordered_iteration(tree: ast.AST, ctx: Context):
 
 
 # ----------------------------------------------------------------------
-# DT004 — fork-unsafe-state
-# ----------------------------------------------------------------------
-_MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "defaultdict", "OrderedDict",
-                         "deque", "Counter",
-                         # weakref containers hold registries and fork
-                         # exactly like their strong counterparts.
-                         "WeakSet", "WeakValueDictionary",
-                         "WeakKeyDictionary"}
-_MUTATOR_METHODS = {"append", "add", "update", "extend", "insert", "pop",
-                    "popitem", "remove", "discard", "clear", "setdefault",
-                    "appendleft", "extendleft"}
-
-
-def _module_level_hazards(tree: ast.Module) -> tuple[set[str], list[tuple[ast.AST, str]]]:
-    """(mutable global names, immediate per-definition findings)."""
-    mutable: set[str] = set()
-    findings: list[tuple[ast.AST, str]] = []
-    for stmt in tree.body:
-        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                   else [stmt.target])
-        value = stmt.value
-        if value is None:
-            continue
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-        if not names:
-            continue
-        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                              ast.ListComp, ast.SetComp)):
-            mutable.update(names)
-        elif isinstance(value, ast.Call):
-            f = value.func
-            fname = (f.id if isinstance(f, ast.Name)
-                     else f.attr if isinstance(f, ast.Attribute) else "")
-            if fname in _MUTABLE_CONSTRUCTORS:
-                mutable.update(names)
-            elif fname == "open":
-                findings.append((stmt, f"module-level `open(...)` handle "
-                                       f"`{names[0]}` is shared by forked "
-                                       f"workers — interleaved writes corrupt "
-                                       f"the file; open per-process instead"))
-            elif fname in ("default_rng", "Generator", "RandomState", "Random"):
-                findings.append((stmt, f"module-level rng object `{names[0]}` "
-                                       f"is cloned into every forked worker — "
-                                       f"all workers then draw *identical* "
-                                       f"streams; construct per-worker rngs "
-                                       f"from `replica_seed`/`SeedSequence.spawn` "
-                                       f"instead"))
-    return mutable, findings
-
-
-def _fork_guarded_names(tree: ast.Module) -> set[str]:
-    """Module globals reset by an ``os.register_at_fork`` hook.
-
-    Two sanctioned guard shapes (both used across the repo)::
-
-        os.register_at_fork(after_in_child=_CACHE.clear)
-        os.register_at_fork(after_in_child=_reset_in_child)
-
-    A bound-method callback guards its owner directly; a function
-    callback guards every module global it touches (names it loads,
-    stores, or declares ``global``).  State a child is guaranteed to
-    clear at the fork boundary cannot leak parent mutations into a
-    worker, so DT004 exempts mutations of guarded names.
-    """
-    funcs = {fn.name: fn for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    guarded: set[str] = set()
-    for call in _calls(tree):
-        f = call.func
-        if not (isinstance(f, ast.Attribute) and f.attr == "register_at_fork"):
-            continue
-        for value in (*call.args, *(kw.value for kw in call.keywords)):
-            if (isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)):
-                guarded.add(value.value.id)
-            elif isinstance(value, ast.Name) and value.id in funcs:
-                for node in ast.walk(funcs[value.id]):
-                    if isinstance(node, ast.Name):
-                        guarded.add(node.id)
-                    elif isinstance(node, ast.Global):
-                        guarded.update(node.names)
-    return guarded
-
-
-def check_fork_unsafe_state(tree: ast.AST, ctx: Context):
-    if not isinstance(tree, ast.Module):
-        return
-    mutable_globals, findings = _module_level_hazards(tree)
-    yield from findings
-    mutable_globals -= _fork_guarded_names(tree)
-    if not mutable_globals:
-        return
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        declared_global = {name for node in ast.walk(fn)
-                           if isinstance(node, ast.Global)
-                           for name in node.names}
-        for node in ast.walk(fn):
-            # NAME[...] = value / del NAME[...]
-            target_name = None
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
-                           else [node.target])
-                for t in targets:
-                    if (isinstance(t, ast.Subscript)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id in mutable_globals):
-                        target_name = t.value.id
-                    elif (isinstance(t, ast.Name) and t.id in declared_global
-                            and t.id in mutable_globals):
-                        target_name = t.id
-            # NAME.mutator(...)
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATOR_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in mutable_globals):
-                target_name = node.func.value.id
-            if target_name is not None:
-                yield (node, f"function `{fn.name}` mutates module-level "
-                             f"state `{target_name}`; after fork each worker "
-                             f"mutates its own silent copy (or races over "
-                             f"shared memory) and replicas diverge — pass "
-                             f"state explicitly, or reset it in the child "
-                             f"with an `os.register_at_fork` hook")
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 DT_RULES: list[Rule] = [
     Rule("DT001", "global-rng",
          "Global-stream RNG draws (np.random.*, random.*, os.urandom) "
-         "instead of an injected np.random.Generator",
+         "and module-level rng objects instead of an injected "
+         "np.random.Generator",
          check_global_rng, src_only=True),
     Rule("DT002", "wall-clock-control-flow",
          "time.time()/datetime.now() feeding branches, comparisons or seeds",
@@ -407,9 +305,4 @@ DT_RULES: list[Rule] = [
     Rule("DT003", "unordered-iteration",
          "set iteration, unsorted directory listings, id()-keyed dicts",
          check_unordered_iteration, src_only=True, engine_exempt=True),
-    Rule("DT004", "fork-unsafe-state",
-         "Module-level mutable state (incl. weakref containers) mutated "
-         "from functions; module-level file handles / rng objects shared "
-         "across forks; os.register_at_fork cleanup hooks exempt",
-         check_fork_unsafe_state, src_only=True, engine_exempt=True),
 ]

@@ -78,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--num-envs", type=int, default=1,
                          help="collect from this many vectorized env "
                               "replicas per iteration (default: 1)")
-    p_train.add_argument("--workers", type=int, default=1,
-                         help="shard the --num-envs replicas across this "
-                              "many rollout worker processes (default: 1, "
-                              "in-process; results are bitwise identical "
-                              "for any worker count)")
     p_train.add_argument("--save", type=str, default=None,
                          help="directory to write the trained (weights-only) "
                               "checkpoint")
@@ -287,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.method, args.campus, preset,
                 num_ugvs=args.ugvs, num_uavs_per_ugv=args.uavs,
                 seed=args.seed, train_iterations=args.iterations,
-                num_envs=args.num_envs, num_workers=args.workers,
+                num_envs=args.num_envs,
                 checkpoint_dir=args.checkpoint_dir,
                 save_every=args.save_every, keep_last=args.keep_last,
                 resume=args.resume)

@@ -20,16 +20,12 @@ from .observation import (
     UGVObservation,
 )
 from .vector import VecAirGroundEnv, VecStepResult, replica_seed
-from .workers import WorkerError, WorkerVecEnv, reset_worker_process_state
 
 __all__ = [
     "AirGroundEnv",
     "StepResult",
     "VecAirGroundEnv",
     "VecStepResult",
-    "WorkerVecEnv",
-    "WorkerError",
-    "reset_worker_process_state",
     "replica_seed",
     "EnvConfig",
     "Sensor",

@@ -214,9 +214,8 @@ class VecAirGroundEnv:
         """Per-replica state digests (see ``AirGroundEnv.state_digest``).
 
         Replica order is part of the contract: ``repro check-determinism``
-        compares these positionally, so a replica swap — ordering
-        nondeterminism in a future worker pool — shows up as a diff even
-        when the multiset of replica states matches.
+        compares these positionally, so a replica swap shows up as a
+        diff even when the multiset of replica states matches.
         """
         return [env.state_digest() for env in self.envs]
 

@@ -33,7 +33,6 @@ Usage::
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Iterator
 
@@ -54,22 +53,6 @@ __all__ = [
 # once; keeping it a plain module global makes the disabled path a single
 # LOAD_GLOBAL + POP_JUMP (mirrors repro.nn.tracer._ACTIVE).
 _ACTIVE: "Profiler | None" = None
-
-
-def _reset_in_child() -> None:
-    """Uninstall any inherited profiler in a forked child process.
-
-    A rollout worker forked mid-``Profiler`` would otherwise keep timing
-    into the parent's registry object (its own copy-on-write copy,
-    silently dropped on exit).  Workers start unprofiled; the parent
-    attributes worker time from the step acks instead.
-    """
-    global _ACTIVE
-    _ACTIVE = None
-
-
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    os.register_at_fork(after_in_child=_reset_in_child)
 
 
 def _max_rss_kb() -> int:

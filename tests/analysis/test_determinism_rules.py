@@ -54,6 +54,18 @@ def test_dt001_silent_on_injected_generators():
     assert codes(good) == []
 
 
+def test_dt001_fires_on_module_level_rngs():
+    bad = """
+    import random
+    import numpy as np
+
+    _RNG = np.random.default_rng(0)
+    _LEGACY: np.random.RandomState = np.random.RandomState(0)
+    _STDLIB = random.Random(0)
+    """
+    assert codes(bad).count("DT001") == 3
+
+
 def test_dt001_silent_outside_src():
     bad = """
     import numpy as np
@@ -140,120 +152,13 @@ def test_dt003_silent_when_sorted_and_on_engine_paths():
 
 
 # ----------------------------------------------------------------------
-# DT004 fork-unsafe-state
-# ----------------------------------------------------------------------
-def test_dt004_fires_on_module_state_mutation():
-    bad = """
-    _CACHE = {}
-    _LOG = []
-
-    def remember(key, value):
-        _CACHE[key] = value
-        _LOG.append(key)
-
-    def reset():
-        _CACHE.clear()
-    """
-    assert codes(bad).count("DT004") == 3
-
-
-def test_dt004_fires_on_module_level_handles_and_rngs():
-    bad = """
-    import numpy as np
-
-    _OUT = open("log.txt", "w")
-    _RNG = np.random.default_rng(0)
-    """
-    assert codes(bad).count("DT004") == 2
-
-
-def test_dt004_silent_on_constants_and_engine_paths():
-    good = """
-    _LIMITS = {"max": 10}
-
-    def lookup(key):
-        return _LIMITS[key]
-    """
-    assert codes(good) == []
-    bad = """
-    _CACHE = {}
-
-    def remember(key, value):
-        _CACHE[key] = value
-    """
-    assert codes(bad, ENGINE_PATH) == []
-
-
-def test_dt004_fires_on_weakref_container_mutation():
-    bad = """
-    import weakref
-
-    _REGISTRY = weakref.WeakSet()
-    _BY_NAME = weakref.WeakValueDictionary()
-
-    def register(obj):
-        _REGISTRY.add(obj)
-        _BY_NAME[obj.name] = obj
-    """
-    assert codes(bad).count("DT004") == 2
-
-
-def test_dt004_exempts_at_fork_guarded_globals():
-    # Bound-method hook: the cache is cleared on the child side of every
-    # fork, so parent mutations cannot leak into a worker.
-    guarded_method = """
-    import os
-
-    _CACHE = {}
-    if hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_CACHE.clear)
-
-    def remember(key, value):
-        _CACHE[key] = value
-    """
-    assert codes(guarded_method) == []
-
-    # Function hook: every global the callback resets is guarded.
-    guarded_fn = """
-    import os
-    import weakref
-
-    _STEPS = weakref.WeakSet()
-
-    def _clear_in_child():
-        for step in list(_STEPS):
-            step.plans.clear()
-
-    os.register_at_fork(after_in_child=_clear_in_child)
-
-    def register(step):
-        _STEPS.add(step)
-    """
-    assert codes(guarded_fn) == []
-
-    # A hook for one global does not launder the others.
-    partial = """
-    import os
-
-    _CACHE = {}
-    _LOG = []
-    os.register_at_fork(after_in_child=_CACHE.clear)
-
-    def remember(key, value):
-        _CACHE[key] = value
-        _LOG.append(key)
-    """
-    assert codes(partial).count("DT004") == 1
-
-
-# ----------------------------------------------------------------------
 # Suppression
 # ----------------------------------------------------------------------
 def test_inline_suppression_applies_to_dt_rules():
     src = """
-    _CACHE = {}
+    import numpy as np
 
-    def remember(key, value):
-        _CACHE[key] = value  # reprolint: disable=DT004
+    def sample():
+        return np.random.rand(3)  # reprolint: disable=DT001
     """
     assert codes(src) == []

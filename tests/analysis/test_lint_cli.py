@@ -56,6 +56,6 @@ def test_cli_lint_runs_dt_rules(tmp_path, capsys):
 
     assert cli_main(["lint", "--list-rules"]) == 0
     codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    # RL001-RL009 and DT001-DT004, each once: DT001 is the one global-rng rule.
+    # RL001-RL009 and DT001-DT003, each once: DT001 is the one global-rng rule.
     assert codes == ([f"RL00{i}" for i in range(1, 10)]
-                     + [f"DT00{i}" for i in range(1, 5)])
+                     + [f"DT00{i}" for i in range(1, 4)])

@@ -122,6 +122,13 @@ class TestUpdate:
         assert "ugv_policy_loss" in history[0].losses
         assert "efficiency" in history[0].metrics
 
+    @pytest.mark.parametrize("num_envs", [0, -2])
+    def test_train_rejects_nonpositive_num_envs(self, setup, num_envs):
+        _, trainer = setup
+        with pytest.raises(ValueError, match="num_envs must be >= 1"):
+            trainer.train(iterations=1, num_envs=num_envs)
+        assert trainer.history == []
+
     def test_evaluate_returns_snapshot(self, setup):
         _, trainer = setup
         snap = trainer.evaluate(episodes=1, greedy=False)

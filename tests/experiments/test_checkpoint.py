@@ -302,3 +302,32 @@ def test_resume_refuses_float64_era_checkpoint(tmp_path):
                        match="checkpoint dtype float64 vs parameter dtype float32"):
         run_training("garl", "kaist", "smoke", train_iterations=2,
                      resume=tmp_path / "iter_000001", **kwargs)
+
+
+def test_checkpoint_naming_a_worker_count_still_resumes(tmp_path):
+    """Older checkpoints carry an informational ``num_workers`` in the
+    manifest and in the trainer's ``venv`` state; they must still load,
+    and the resumed run must match the uninterrupted one byte for byte."""
+    import shutil
+
+    from repro.experiments.runner import run_training
+
+    kwargs = dict(num_ugvs=2, num_uavs_per_ugv=1, num_envs=4, save_every=1,
+                  train_iterations=2, handle_signals=False)
+    control = tmp_path / "control"
+    run_training("garl", "kaist", "smoke", checkpoint_dir=control, **kwargs)
+
+    legacy = tmp_path / "legacy"
+    shutil.copytree(control, legacy)
+    manifest_path = legacy / "iter_000001" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    venv = manifest["state"]["trainer"]["venv"]
+    assert "num_workers" not in manifest and "num_workers" not in venv
+    manifest["num_workers"] = 2
+    venv["num_workers"] = 2
+    manifest_path.write_text(json.dumps(manifest, indent=1))
+
+    run_training("garl", "kaist", "smoke", checkpoint_dir=legacy,
+                 resume=legacy / "iter_000001", **kwargs)
+    assert ((legacy / "train.jsonl").read_bytes()
+            == (control / "train.jsonl").read_bytes())

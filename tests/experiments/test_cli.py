@@ -1,12 +1,18 @@
 """CLI tests (fast paths only; heavy experiment paths are benchmarks)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ScalePreset
+from repro.experiments import ScalePreset, run_method
 from repro.experiments.presets import PRESETS
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -123,3 +129,27 @@ class TestCheckpointFlags:
     def test_resume_without_checkpoint_dir_fails(self):
         with pytest.raises(ValueError, match="resume"):
             main(["train", "random", "--iterations", "1", "--resume", "latest"])
+
+
+@pytest.mark.parametrize("num_envs", [0, -2])
+class TestNumEnvsValidation:
+    def test_train_exits_nonzero_before_writing_telemetry(self, tmp_path,
+                                                          num_envs):
+        run_dir = tmp_path / "run"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "train", "garl", "--preset",
+             "smoke", "--iterations", "1", "--num-envs", str(num_envs),
+             "--checkpoint-dir", str(run_dir)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode != 0
+        assert "num_envs must be >= 1" in out.stderr
+        assert not (run_dir / "train.jsonl").exists()
+
+    def test_run_method_rejects(self, num_envs):
+        # ``repro profile`` trains through run_method.
+        with pytest.raises(ValueError, match="num_envs must be >= 1"):
+            run_method("garl", "kaist", "smoke", num_ugvs=2,
+                       num_uavs_per_ugv=1, train_iterations=1,
+                       num_envs=num_envs)
